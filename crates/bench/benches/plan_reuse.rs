@@ -15,15 +15,15 @@
 //!    3 and 2 instead of 48 and 48.
 //! 2. **Warm-started refits** — fit once, perturb the attribute data
 //!    (coordinates untouched, the serving scenario), then refit warm
-//!    through `FittedModel::refit` versus a cold `fit`. The warm refit
-//!    must reach the cold fit's final objective, in fewer recorded
-//!    iterations.
+//!    through `FitPlan::rebind` plus a warm `solve_with` versus a cold
+//!    `fit`. The warm refit must reach the cold fit's final objective,
+//!    in fewer recorded iterations.
 //!
 //! Wall times are min-of-N of whole searches/fits. Results land in
 //! `BENCH_plan_reuse.json` at the workspace root.
 
 use smfl_core::{
-    fit, grid_search, grid_search_uncached, FitPlan, ParamGrid, SmflConfig,
+    fit, grid_search, grid_search_uncached, FitPlan, ParamGrid, SmflConfig, SolveOptions,
 };
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix};
@@ -145,7 +145,10 @@ fn main() {
         }
     }
 
-    let (warm_s, warm) = min_time(|| first.refit(&mut plan, &x2, &omega).unwrap());
+    let (warm_s, warm) = min_time(|| {
+        plan.rebind(&x2, &omega).unwrap();
+        plan.solve_with(&SolveOptions::warm_from(&first)).unwrap()
+    });
     let (cold_s, cold) = min_time(|| fit(&x2, &omega, &cfg).unwrap());
 
     let warm_obj = warm.final_objective().unwrap();

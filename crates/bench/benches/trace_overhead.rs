@@ -9,8 +9,10 @@
 //!   objective + history push) with no sink plumbing at all: the
 //!   pre-telemetry engine, reproduced verbatim;
 //! - `noop`  — `fit()`, which routes through `fit_inner::<NoopSink>`;
-//! - `record` — `fit_traced()`, buffering a full in-memory trace;
-//! - `jsonl` — `fit_with_sink(JsonlSink)` streaming to a temp file.
+//! - `record` — compile + solve into a `RecordingSink`, buffering a
+//!   full in-memory trace;
+//! - `jsonl` — compile + solve into a `JsonlSink` streaming to a temp
+//!   file.
 //!
 //! Per-iteration cost is isolated by differencing: each path is timed
 //! at `max_iter = 5` and `max_iter = 65` (min of several runs each),
@@ -22,7 +24,9 @@
 use criterion::{BenchmarkId, Criterion};
 use smfl_core::objective::objective_from_fit_term;
 use smfl_core::updater::{multiplicative_step, UpdateContext};
-use smfl_core::{fit, fit_traced, fit_with_sink, JsonlSink, SmflConfig};
+use smfl_core::{
+    fit, FitPlan, FittedModel, JsonlSink, RecordingSink, SmflConfig, SolveOptions, TraceSink,
+};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
 use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
 use std::time::Instant;
@@ -89,6 +93,18 @@ fn raw_fit(x: &Matrix, omega: &Mask, max_iter: usize) -> Vec<f64> {
     history
 }
 
+/// Compile + cold solve, both streaming into `sink`.
+fn fit_with<S: TraceSink>(x: &Matrix, omega: &Mask, cfg: &SmflConfig, sink: &mut S) -> FittedModel {
+    FitPlan::compile_with_sink(x, omega, cfg, sink)
+        .and_then(|mut plan| plan.solve_with_sink(&SolveOptions::new(), sink))
+        .unwrap()
+}
+
+/// [`fit_with`] into a recording sink sized for the whole fit.
+fn fit_recorded(x: &Matrix, omega: &Mask, cfg: &SmflConfig) -> FittedModel {
+    fit_with(x, omega, cfg, &mut RecordingSink::with_capacity(cfg.max_iter.min(1024)))
+}
+
 /// Minimum wall time of `f` over [`TIMING_RUNS`] runs (min is the
 /// noise-robust statistic for a deterministic workload).
 fn min_time(mut f: impl FnMut()) -> f64 {
@@ -96,7 +112,7 @@ fn min_time(mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..TIMING_RUNS {
         let start = Instant::now();
-        std::hint::black_box(f());
+        f(); // the closures black-box their own results
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
@@ -129,11 +145,11 @@ fn measure(x: &Matrix, omega: &Mask) -> Measurement {
             std::hint::black_box(fit(x, omega, &config(iters)).unwrap());
         }),
         record: per_iter(|iters| {
-            std::hint::black_box(fit_traced(x, omega, &config(iters)).unwrap());
+            std::hint::black_box(fit_recorded(x, omega, &config(iters)));
         }),
         jsonl: per_iter(|iters| {
             let mut sink = JsonlSink::create(&jsonl_path()).unwrap();
-            std::hint::black_box(fit_with_sink(x, omega, &config(iters), &mut sink).unwrap());
+            std::hint::black_box(fit_with(x, omega, &config(iters), &mut sink));
         }),
     }
 }
@@ -148,12 +164,12 @@ fn bench_sink_modes(c: &mut Criterion, x: &Matrix, omega: &Mask) {
         b.iter(|| fit(x, omega, cfg).unwrap());
     });
     group.bench_with_input(BenchmarkId::new("record", "20it"), &cfg, |b, cfg| {
-        b.iter(|| fit_traced(x, omega, cfg).unwrap());
+        b.iter(|| fit_recorded(x, omega, cfg));
     });
     group.bench_with_input(BenchmarkId::new("jsonl", "20it"), &cfg, |b, cfg| {
         b.iter(|| {
             let mut sink = JsonlSink::create(&jsonl_path()).unwrap();
-            fit_with_sink(x, omega, cfg, &mut sink).unwrap()
+            fit_with(x, omega, cfg, &mut sink)
         });
     });
     group.finish();
@@ -170,7 +186,7 @@ fn main() {
     // NoopSink fit must equal the hand-rolled uninstrumented loop.
     let raw_history = raw_fit(&x, &omega, 20);
     let noop_model = fit(&x, &omega, &config(20)).unwrap();
-    let traced_model = fit_traced(&x, &omega, &config(20)).unwrap();
+    let traced_model = fit_recorded(&x, &omega, &config(20));
     assert_eq!(
         raw_history, noop_model.objective_history,
         "NoopSink fit diverged from the uninstrumented loop"

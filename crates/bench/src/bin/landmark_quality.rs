@@ -17,7 +17,7 @@
 
 use smfl_bench::harness::RESERVE_COMPLETE;
 use smfl_bench::{fmt_rms, print_table, HarnessConfig};
-use smfl_core::{fit_with_landmarks, Landmarks, SmflConfig};
+use smfl_core::{FitPlan, Landmarks, SmflConfig};
 use smfl_datasets::{economic, inject_missing, lake};
 use smfl_eval::rms_over;
 use smfl_linalg::{Matrix, Result};
@@ -89,12 +89,9 @@ fn main() {
                     .with_lambda(cfg.lambda)
                     .with_p(cfg.p)
                     .with_seed(seed);
-                match fit_with_landmarks(
-                    &inj.corrupted,
-                    &inj.omega,
-                    &config,
-                    lm,
-                ) {
+                match FitPlan::compile_with_landmarks(&inj.corrupted, &inj.omega, &config, lm)
+                    .and_then(|mut plan| plan.solve())
+                {
                     Ok(model) => {
                         let imputed = model.impute(&inj.corrupted, &inj.omega).unwrap();
                         total += rms_over(&imputed, &d.data, &inj.psi).unwrap();

@@ -17,7 +17,7 @@ use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
 use crate::objective::objective_from_fit_term;
 use crate::plan::{FitPlan, SolveOptions};
-use crate::resilience::{blend_half, derive_seed, record};
+use crate::resilience::{blend_half, derive_seed};
 use crate::telemetry::{IterEvent, Phase, SpanEvent, TraceSink};
 use crate::updater::{gradient_step, multiplicative_step, UpdateContext};
 use smfl_linalg::random::positive_uniform_matrix;
@@ -173,7 +173,7 @@ pub(crate) fn solve<S: TraceSink>(
             }
             restarts += 1;
             report.restarts = restarts;
-            record(&mut report, sink, FitEvent::Restarted { iteration: t, failure });
+            report.events.push(FitEvent::Restarted { iteration: t, failure });
             if matches!(config.updater, Updater::GradientDescent { .. }) {
                 lr_scale *= 0.5;
             }
@@ -257,7 +257,7 @@ pub(crate) fn solve<S: TraceSink>(
         {
             if ws.restore(&mut u, &mut v) {
                 report.rolled_back = true;
-                record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
+                report.events.push(FitEvent::RolledBack { iteration: iterations });
             }
         } else if factors_bad {
             // No good iterate was ever recorded: return a finite,
@@ -270,7 +270,7 @@ pub(crate) fn solve<S: TraceSink>(
                 lm.inject(&mut v)?;
             }
             report.rolled_back = true;
-            record(&mut report, sink, FitEvent::RolledBack { iteration: iterations });
+            report.events.push(FitEvent::RolledBack { iteration: iterations });
         }
         report.record_tail(&history);
     }
@@ -280,7 +280,7 @@ pub(crate) fn solve<S: TraceSink>(
             sink.span(&SpanEvent { phase: Phase::UpdateLoop, wall: t0.elapsed() });
         }
         sink.counters(&ws.counters);
-        sink.finish();
+        sink.finish(&report);
     }
 
     Ok(FittedModel {
@@ -292,7 +292,6 @@ pub(crate) fn solve<S: TraceSink>(
         converged,
         spatial_cols: config.spatial_cols,
         report,
-        trace: None,
     })
 }
 

@@ -114,10 +114,9 @@ pub fn from_str(text: &str) -> io::Result<FittedModel> {
         iterations,
         converged,
         spatial_cols,
-        // The fault-tolerance audit trail and telemetry trace are
-        // runtime-only; the v1 format intentionally persists neither.
+        // The fault-tolerance audit trail is runtime-only; the v1
+        // format intentionally does not persist it.
         report: crate::health::FitReport::default(),
-        trace: None,
     })
 }
 

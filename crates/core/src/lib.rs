@@ -58,15 +58,13 @@ pub mod updater;
 pub use config::{Resilience, SmflConfig, Updater, Variant};
 pub use health::{FitEvent, FitFailure, FitReport, DENOM_EPS};
 pub use landmarks::Landmarks;
-pub use model::{
-    fit, fit_resilient, fit_traced, fit_with_landmarks, fit_with_sink, impute, repair, FittedModel,
-};
+pub use model::{fit, impute, repair, FittedModel};
 pub use plan::{FitPlan, PlanCache, PlanCacheStats, SolveOptions};
 pub use telemetry::{
     IterEvent, JsonlSink, NoopSink, Phase, RecordingSink, SpanEvent, Trace, TraceSink,
 };
 pub use model_selection::{
-    fit_with_selection, grid_search, grid_search_cached, grid_search_uncached, GridSearchResult,
+    grid_search, grid_search_cached, grid_search_uncached, GridSearchResult,
     ParamGrid, Scored, SkipReason, SkippedCandidate,
 };
 pub use objective::objective;

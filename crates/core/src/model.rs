@@ -1,14 +1,19 @@
 //! The public fit API (paper Algorithm 1) and the fitted-model type.
 //!
-//! Every entry point here is a thin wrapper over the compile/solve
-//! split: [`crate::plan::FitPlan`] materializes the pre-loop artifacts
+//! The three paper-facing one-liners — [`fit`], [`impute`] and
+//! [`repair`] — are thin wrappers over the compile/solve split:
+//! [`crate::plan::FitPlan`] materializes the pre-loop artifacts
 //! (sanitize → validate → SI fill → graph → landmarks → pattern +
 //! workspace) and [`crate::engine`] runs the update loop over the
 //! borrowed plan — `fit(x, omega, cfg)` is exactly
-//! `FitPlan::compile(x, omega, cfg)?.solve()`, bitwise. Use the plan
-//! API directly to amortize compilation across repeated solves
-//! (model selection, warm-started refits); use these wrappers for the
-//! one-shot fits of the paper's experiments.
+//! `FitPlan::compile(x, omega, cfg)?.solve()`, bitwise. Everything
+//! else goes through the plan API directly: a trace sink
+//! ([`FitPlan::compile_with_sink`] + [`FitPlan::solve_with_sink`]),
+//! curated landmarks ([`FitPlan::compile_with_landmarks`]), warm
+//! refits ([`FitPlan::rebind`] + [`FitPlan::solve_with`] with
+//! [`SolveOptions::warm_from`]) and model selection
+//! ([`crate::grid_search_cached`] + [`FitPlan::compile_cached`]). The
+//! fault-tolerant fit is `fit` with [`SmflConfig::resilient`].
 //!
 //! [`FittedModel::impute`] applies Formula 8
 //! (`X̂ ← R_Ω(X) + R_Ψ(X*)`), and [`repair`] reuses the same machinery
@@ -18,8 +23,8 @@ use crate::config::SmflConfig;
 use crate::health::FitReport;
 use crate::landmarks::Landmarks;
 use crate::plan::{FitPlan, SolveOptions};
-use crate::telemetry::{JsonlSink, NoopSink, RecordingSink, Trace, TraceSink};
-use smfl_linalg::{LinalgError, Mask, Matrix, Result};
+use crate::telemetry::{JsonlSink, NoopSink, TraceSink};
+use smfl_linalg::{Mask, Matrix, Result};
 
 /// A fitted factorization `X ≈ U·V`.
 #[derive(Debug, Clone)]
@@ -43,9 +48,6 @@ pub struct FittedModel {
     /// Fault-tolerance audit trail (empty/default unless the fit ran
     /// with `config.resilience.enabled`). See [`FitReport`].
     pub report: FitReport,
-    /// Full telemetry trace — populated only by [`fit_traced`]
-    /// (boxed so the common untraced model stays small).
-    pub trace: Option<Box<Trace>>,
 }
 
 impl FittedModel {
@@ -89,25 +91,6 @@ impl FittedModel {
     pub fn final_objective(&self) -> Option<f64> {
         self.objective_history.last().copied()
     }
-
-    /// The recorded telemetry trace (`Some` only for [`fit_traced`]).
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_deref()
-    }
-
-    /// Warm-started refit on new data through an existing plan — the
-    /// serving path for observations that trickle in. Rebinds `plan` to
-    /// `(x, omega)` (in place when the mask is unchanged; see
-    /// [`FitPlan::rebind`]) and solves seeded from this model's
-    /// factors, with the plan's landmark columns re-frozen on top.
-    ///
-    /// The new data must have the plan's shape, and this model must
-    /// have its rank — a rank change is a new model, not a refit
-    /// (`DimensionMismatch { op: "warm_start" }`).
-    pub fn refit(&self, plan: &mut FitPlan, x: &Matrix, omega: &Mask) -> Result<FittedModel> {
-        plan.rebind(x, omega)?;
-        plan.solve_with(&SolveOptions::warm_from(self))
-    }
 }
 
 /// Fits a model to the observed cells of `x`.
@@ -120,99 +103,29 @@ impl FittedModel {
 ///   nonnegative data; min-max normalize first, as the paper does);
 /// - propagated substrate failures.
 pub fn fit(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
-    fit_dispatch(x, omega, config, None)
-}
-
-/// Routes a fit through the `SMFL_TRACE` JSONL sink when the
-/// environment asks for one, and through the erased [`NoopSink`]
-/// otherwise. A trace file that cannot be created degrades to an
-/// untraced fit with a warning — telemetry never fails a fit.
-fn fit_dispatch(
-    x: &Matrix,
-    omega: &Mask,
-    config: &SmflConfig,
-    landmarks_override: Option<Landmarks>,
-) -> Result<FittedModel> {
+    // The `SMFL_TRACE` switch: stream JSONL when the environment asks
+    // for it. A trace file that cannot be created degrades to an
+    // untraced fit with a warning — telemetry never fails a fit.
     match crate::telemetry::env_trace_path() {
         Some(path) => match JsonlSink::create(&path) {
-            Ok(mut sink) => fit_inner(x, omega, config, landmarks_override, &mut sink),
+            Ok(mut sink) => fit_inner(x, omega, config, &mut sink),
             Err(err) => {
                 eprintln!("SMFL_TRACE: cannot create {}: {err}; tracing disabled", path.display());
-                fit_inner(x, omega, config, landmarks_override, &mut NoopSink)
+                fit_inner(x, omega, config, &mut NoopSink)
             }
         },
-        None => fit_inner(x, omega, config, landmarks_override, &mut NoopSink),
+        None => fit_inner(x, omega, config, &mut NoopSink),
     }
 }
 
-/// Compile + solve against one shared sink — the one-shot pipeline
-/// every public wrapper funnels through.
+/// Compile + solve against one shared sink.
 fn fit_inner<S: TraceSink>(
     x: &Matrix,
     omega: &Mask,
     config: &SmflConfig,
-    landmarks_override: Option<Landmarks>,
     sink: &mut S,
 ) -> Result<FittedModel> {
-    let mut plan = FitPlan::compile_full(x, omega, config, landmarks_override, None, sink)?;
-    crate::engine::solve(&mut plan, &SolveOptions::default(), sink)
-}
-
-/// [`fit`] streaming telemetry into a caller-supplied [`TraceSink`].
-///
-/// With [`NoopSink`] this is exactly [`fit`] (same monomorphization);
-/// with any enabled sink the fit is numerically identical — only
-/// observed. The `SMFL_TRACE` environment toggle is bypassed.
-pub fn fit_with_sink<S: TraceSink>(
-    x: &Matrix,
-    omega: &Mask,
-    config: &SmflConfig,
-    sink: &mut S,
-) -> Result<FittedModel> {
-    fit_inner(x, omega, config, None, sink)
-}
-
-/// [`fit`] recording a full in-memory [`Trace`], attached to the
-/// returned model and readable via [`FittedModel::trace`].
-pub fn fit_traced(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
-    let mut sink = RecordingSink::with_capacity(config.max_iter.min(1024));
-    let mut model = fit_inner(x, omega, config, None, &mut sink)?;
-    model.trace = Some(Box::new(sink.into_trace()));
-    Ok(model)
-}
-
-/// [`fit`] with explicitly supplied landmarks, bypassing the k-means
-/// computation — for *curated* landmarks (the paper's §IV-C notes that
-/// carefully chosen landmarks can outperform automatic ones) and for
-/// the landmark-quality ablation.
-///
-/// The landmark matrix must be `K x L` matching the configuration; the
-/// landmarks are used regardless of `config.variant`.
-pub fn fit_with_landmarks(
-    x: &Matrix,
-    omega: &Mask,
-    config: &SmflConfig,
-    landmarks: Landmarks,
-) -> Result<FittedModel> {
-    if landmarks.k() != config.rank || landmarks.spatial_cols() != config.spatial_cols {
-        return Err(LinalgError::DimensionMismatch {
-            left: (landmarks.k(), landmarks.spatial_cols()),
-            right: (config.rank, config.spatial_cols),
-            op: "fit_with_landmarks",
-        });
-    }
-    fit_dispatch(x, omega, config, Some(landmarks))
-}
-
-/// [`fit`] with the fault-tolerance machinery enabled: input
-/// sanitization, per-iteration health checks, checkpoint/rollback with
-/// bounded deterministic restarts, and the degradation ladder
-/// SMFL → (drop Laplacian) → (drop landmarks). Every recovery step is
-/// recorded in the returned model's [`FitReport`].
-pub fn fit_resilient(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FittedModel> {
-    let mut cfg = config.clone();
-    cfg.resilience.enabled = true;
-    fit(x, omega, &cfg)
+    FitPlan::compile_with_sink(x, omega, config, sink)?.solve_with_sink(&SolveOptions::new(), sink)
 }
 
 /// Fit + impute in one call: returns `X̂` with unobserved cells filled
@@ -244,7 +157,6 @@ mod tests {
             converged: false,
             spatial_cols: 0,
             report: FitReport::default(),
-            trace: None,
         };
         assert_eq!(model.cluster_labels(), vec![0, 1, 0]);
     }

@@ -328,23 +328,6 @@ pub fn grid_search_uncached(
     })
 }
 
-/// Grid search followed by a final fit of the winner on all observed
-/// cells — the end-to-end "tune and train" entry point. The final fit
-/// shares the search's [`PlanCache`], so the winner's landmarks and
-/// graph are reused rather than recomputed (holdout masks never touch
-/// the SI columns, so the full-data SI matches the search's).
-pub fn fit_with_selection(
-    x: &Matrix,
-    omega: &Mask,
-    base: &SmflConfig,
-    grid: &ParamGrid,
-) -> Result<(FittedModel, GridSearchResult)> {
-    let mut cache = PlanCache::new();
-    let result = grid_search_cached(x, omega, base, grid, 2, 0.1, &mut cache)?;
-    let model = FitPlan::compile_cached(x, omega, &result.best().config, &mut cache)?.solve()?;
-    Ok((model, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,7 +430,10 @@ mod tests {
     }
 
     #[test]
-    fn fit_with_selection_returns_working_model() {
+    fn winner_refit_reuses_the_search_cache() {
+        // Tune-then-train: the winner's full-data compile shares the
+        // search's cache, so its landmarks and graph are served, not
+        // recomputed (holdout masks never touch the SI columns).
         let (x, omega) = problem();
         let base = SmflConfig::smfl(3, 2).with_max_iter(30);
         let grid = ParamGrid {
@@ -455,11 +441,18 @@ mod tests {
             ps: vec![],
             ranks: vec![],
         };
-        let (model, result) = fit_with_selection(&x, &omega, &base, &grid).unwrap();
-        assert!(model.u.all_finite());
+        let mut cache = PlanCache::new();
+        let result = grid_search_cached(&x, &omega, &base, &grid, 2, 0.1, &mut cache).unwrap();
         assert_eq!(result.ranking().len(), 2);
-        let imputed = model.impute(&x, &omega).unwrap();
-        assert!(imputed.all_finite());
+        let before = cache.stats();
+        let model = FitPlan::compile_cached(&x, &omega, &result.best().config, &mut cache)
+            .unwrap()
+            .solve()
+            .unwrap();
+        let after = cache.stats();
+        assert_eq!(after.kmeans_runs, before.kmeans_runs, "{after:?}");
+        assert_eq!(after.graph_builds, before.graph_builds, "{after:?}");
+        assert!(model.impute(&x, &omega).unwrap().all_finite());
     }
 
     #[test]

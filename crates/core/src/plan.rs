@@ -23,9 +23,7 @@ use crate::config::{SmflConfig, Updater};
 use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
-use crate::resilience::{
-    build_graph_traced, graph_resilient, landmarks_resilient, record,
-};
+use crate::resilience::{build_graph_traced, graph_resilient, landmarks_resilient};
 use crate::telemetry::{NoopSink, Phase, SpanEvent, TraceSink};
 use smfl_linalg::{LinalgError, Mask, Matrix, ObservedPattern, Result, Workspace};
 use smfl_spatial::{fill_missing_si, GraphWeighting, NeighborSearch, SpatialGraph};
@@ -63,11 +61,6 @@ impl SolveOptions {
     pub fn warm_factors(u: Matrix, v: Matrix) -> Self {
         SolveOptions { warm: Some((u, v)) }
     }
-
-    /// `true` when this solve will seed from prior factors.
-    pub fn is_warm(&self) -> bool {
-        self.warm.is_some()
-    }
 }
 
 /// A compiled fit: validated inputs plus every pre-loop artifact of
@@ -94,8 +87,9 @@ pub struct FitPlan {
     pub(crate) landmarks: Option<Landmarks>,
     /// Pre-sized per-solve scratch (reused across solves).
     pub(crate) workspace: Workspace,
-    /// Compile-phase audit trail (sanitization + degradation-ladder
-    /// events); every solve's report starts from a copy of this.
+    /// Compile- and rebind-phase audit trail (sanitization +
+    /// degradation-ladder events); every solve's report starts from a
+    /// copy of this.
     pub(crate) report: FitReport,
 }
 
@@ -108,10 +102,11 @@ impl FitPlan {
         Self::compile_full(x, omega, config, None, None, &mut NoopSink)
     }
 
-    /// [`compile`](Self::compile) streaming telemetry spans and engine
-    /// events into `sink` (phases `si_fill`, `graph_*`, `landmarks`,
-    /// `pattern_compile`, plus a trailing `plan_compile` covering the
-    /// whole compile).
+    /// [`compile`](Self::compile) streaming telemetry spans into `sink`
+    /// (phases `si_fill`, `graph_*`, `landmarks`, `pattern_compile`,
+    /// plus a trailing `plan_compile` covering the whole compile). The
+    /// compile's engine events go into the plan's report, and reach a
+    /// sink through the [`TraceSink::finish`] of a later solve.
     pub fn compile_with_sink<S: TraceSink>(
         x: &Matrix,
         omega: &Mask,
@@ -135,9 +130,12 @@ impl FitPlan {
         Self::compile_full(x, omega, config, None, Some(cache), &mut NoopSink)
     }
 
-    /// [`compile`](Self::compile) with explicitly supplied (curated)
-    /// landmarks instead of the k-means computation, mirroring
-    /// [`crate::fit_with_landmarks`].
+    /// [`compile`](Self::compile) with explicitly supplied landmarks
+    /// instead of the k-means computation — for *curated* landmarks
+    /// (the paper's §IV-C notes that carefully chosen landmarks can
+    /// outperform automatic ones) and for the landmark-quality
+    /// ablation. The landmark matrix must be `K x L` matching the
+    /// configuration; it is used regardless of `config.variant`.
     pub fn compile_with_landmarks(
         x: &Matrix,
         omega: &Mask,
@@ -148,17 +146,16 @@ impl FitPlan {
             return Err(LinalgError::DimensionMismatch {
                 left: (landmarks.k(), landmarks.spatial_cols()),
                 right: (config.rank, config.spatial_cols),
-                op: "fit_with_landmarks",
+                op: "compile_with_landmarks",
             });
         }
         Self::compile_full(x, omega, config, Some(landmarks), None, &mut NoopSink)
     }
 
-    /// The shared compile path behind every public entry point,
-    /// replicating the pre-loop half of the historical `fit_inner`
-    /// operation-for-operation so `compile(...).solve(...)` stays
-    /// bitwise-identical to the one-shot wrappers.
-    pub(crate) fn compile_full<S: TraceSink>(
+    /// The shared compile path behind every public compile call. Every
+    /// engine event it raises goes into the plan's report, which each
+    /// solve's report starts from.
+    fn compile_full<S: TraceSink>(
         x: &Matrix,
         omega: &Mask,
         config: &SmflConfig,
@@ -187,7 +184,7 @@ impl FitPlan {
         let (x, omega) = match &sanitized {
             Some((cx, co, removed)) => {
                 report.sanitized_cells = *removed;
-                record(&mut report, sink, FitEvent::Sanitized { cells: *removed });
+                report.events.push(FitEvent::Sanitized { cells: *removed });
                 (cx, co)
             }
             None => (x, omega),
@@ -236,9 +233,7 @@ impl FitPlan {
             match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
                 Some(entry) => {
                     cache_hits += 1;
-                    for ev in entry.events {
-                        record(&mut report, sink, ev);
-                    }
+                    report.events.extend(entry.events);
                     entry.graph
                 }
                 None => {
@@ -292,16 +287,14 @@ impl FitPlan {
                         if entry.deduped_rows > 0 {
                             report.deduped_rows = entry.deduped_rows;
                         }
-                        for ev in entry.events {
-                            record(&mut report, sink, ev);
-                        }
+                        report.events.extend(entry.events);
                         entry.landmarks
                     }
                     None => {
                         let t0 = S::ENABLED.then(Instant::now);
                         let ev_start = report.events.len();
                         let lm = if res.enabled {
-                            landmarks_resilient(si, k, config, &mut report, sink)
+                            landmarks_resilient(si, k, config, &mut report)
                         } else {
                             Some(Landmarks::compute(si, k, config.kmeans_max_iter, config.seed)?)
                         };
@@ -464,8 +457,9 @@ impl FitPlan {
         self.graph.as_deref()
     }
 
-    /// Compile-phase audit trail (sanitization and degradation-ladder
-    /// events). Every solve's `FitReport` starts from a copy of this.
+    /// Compile- and rebind-phase audit trail (sanitization and
+    /// degradation-ladder events). Every solve's `FitReport` starts
+    /// from a copy of this.
     pub fn report(&self) -> &FitReport {
         &self.report
     }
@@ -671,9 +665,9 @@ pub(crate) fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<
             });
         }
         if multiplicative && v < 0.0 {
-            return Err(LinalgError::BadLength {
-                expected: 0,
-                actual: i * m + j,
+            return Err(LinalgError::Negative {
+                op: "fit",
+                index: (i, j),
             });
         }
     }
@@ -854,7 +848,8 @@ mod tests {
             }
             x2
         };
-        let warm = cold.refit(&mut plan, &x2, &omega).unwrap();
+        plan.rebind(&x2, &omega).unwrap();
+        let warm = plan.solve_with(&SolveOptions::warm_from(&cold)).unwrap();
         let cold2 = fit(&x2, &omega, &cfg).unwrap();
         assert!(warm.u.all_finite() && warm.v.all_finite());
         // The warm refit should need no more iterations than the cold

@@ -17,15 +17,6 @@ use crate::telemetry::{Phase, SpanEvent, TraceSink};
 use smfl_linalg::{Mask, Matrix, Result};
 use smfl_spatial::{dedupe_coordinates, SpatialGraph};
 
-/// Appends `event` to the report and mirrors it to the sink, keeping a
-/// trace's engine-event stream identical to `FitReport::events`.
-pub(crate) fn record<S: TraceSink>(report: &mut FitReport, sink: &mut S, event: FitEvent) {
-    if S::ENABLED {
-        sink.engine(&event);
-    }
-    report.events.push(event);
-}
-
 /// Deterministic seed derivation for retries — `salt = 0` returns the
 /// base seed unchanged so the clean path is bitwise-stable.
 pub(crate) fn derive_seed(seed: u64, salt: u64) -> u64 {
@@ -81,12 +72,11 @@ pub(crate) fn landmarks_healthy(lm: &Landmarks) -> bool {
 /// degenerate result the coordinates are de-duplicated (jitter-free)
 /// and k-means re-seeded, up to `max_restarts` times; then landmarks
 /// are dropped (the last rung of the ladder before plain NMF).
-pub(crate) fn landmarks_resilient<S: TraceSink>(
+pub(crate) fn landmarks_resilient(
     si: &Matrix,
     k: usize,
     config: &SmflConfig,
     report: &mut FitReport,
-    sink: &mut S,
 ) -> Option<Landmarks> {
     let max_attempts = config.resilience.max_restarts;
     let mut si_work: Option<Matrix> = None;
@@ -106,17 +96,13 @@ pub(crate) fn landmarks_resilient<S: TraceSink>(
             let rows = dedupe_coordinates(&mut copy);
             if rows > 0 {
                 report.deduped_rows = rows;
-                record(report, sink, FitEvent::CoordinatesDeduped { rows });
+                report.events.push(FitEvent::CoordinatesDeduped { rows });
             }
             si_work = Some(copy);
         }
-        record(report, sink, FitEvent::LandmarksRetried { attempt: attempt + 1 });
+        report.events.push(FitEvent::LandmarksRetried { attempt: attempt + 1 });
     }
-    record(
-        report,
-        sink,
-        FitEvent::LandmarksDropped { reason: "degenerate after bounded retries" },
-    );
+    report.events.push(FitEvent::LandmarksDropped { reason: "degenerate after bounded retries" });
     None
 }
 
@@ -145,7 +131,7 @@ pub(crate) fn graph_resilient<S: TraceSink>(
             }
         }
     };
-    record(report, sink, FitEvent::LaplacianDropped { reason });
+    report.events.push(FitEvent::LaplacianDropped { reason });
     None
 }
 
@@ -182,7 +168,7 @@ mod tests {
     use super::*;
     use crate::config::SmflConfig;
     use crate::health::{FitFailure, FitReport};
-    use crate::model::{fit, fit_resilient};
+    use crate::model::fit;
     use smfl_linalg::Mask;
 
     /// Synthetic low-rank nonnegative data with two leading coordinate
@@ -212,7 +198,7 @@ mod tests {
         // model.
         let cfg = SmflConfig::smfl(3, 2).with_p(8).with_max_iter(40).with_seed(5);
         let plain = fit(&x, &omega, &cfg).unwrap();
-        let resilient = fit_resilient(&x, &omega, &cfg).unwrap();
+        let resilient = fit(&x, &omega, &cfg.clone().resilient()).unwrap();
         assert!(plain.u.approx_eq(&resilient.u, 1e-9));
         assert!(plain.v.approx_eq(&resilient.v, 1e-9));
         assert_eq!(resilient.report.restarts, 0);
@@ -267,7 +253,7 @@ mod tests {
         assert!(fit(&x, &omega, &SmflConfig::smfl(3, 2)).is_err());
         // ...the resilient path repairs and fits.
         let model =
-            fit_resilient(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30)).unwrap();
+            fit(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30).resilient()).unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
         assert_eq!(model.report.sanitized_cells, 3);
         assert!(model
@@ -321,7 +307,7 @@ mod tests {
         // Default path fits happily (a disconnected Laplacian is still
         // PSD) — no behavior change there.
         assert!(fit(&x, &omega, &cfg).is_ok());
-        let model = fit_resilient(&x, &omega, &cfg).unwrap();
+        let model = fit(&x, &omega, &cfg.clone().resilient()).unwrap();
         assert!(model.report.degraded());
         assert!(model
             .report
@@ -342,8 +328,8 @@ mod tests {
             _ => 0.2 + 0.02 * ((i * 7 + j) % 11) as f64,
         });
         let omega = Mask::full(n, 5);
-        let cfg = SmflConfig::smfl(3, 2).with_max_iter(15);
-        let model = fit_resilient(&x, &omega, &cfg).unwrap();
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(15).resilient();
+        let model = fit(&x, &omega, &cfg).unwrap();
         assert!(
             model.landmarks.is_some(),
             "landmarks should survive via retry: {:?}",
@@ -377,9 +363,9 @@ mod tests {
         let mut x = spatial_data(25, 5, 44);
         x.set(3, 2, f64::NAN);
         let omega = drop_cells(25, 5, 3);
-        let cfg = SmflConfig::smfl(3, 2).with_max_iter(25).with_seed(11);
-        let a = fit_resilient(&x, &omega, &cfg).unwrap();
-        let b = fit_resilient(&x, &omega, &cfg).unwrap();
+        let cfg = SmflConfig::smfl(3, 2).with_max_iter(25).with_seed(11).resilient();
+        let a = fit(&x, &omega, &cfg).unwrap();
+        let b = fit(&x, &omega, &cfg).unwrap();
         assert_eq!(a.report, b.report);
         assert!(a.u.approx_eq(&b.u, 0.0));
         assert!(a.v.approx_eq(&b.v, 0.0));

@@ -11,31 +11,33 @@
 //! (asserted by `tests/trace.rs` and the counting-allocator test;
 //! bounded by `benches/trace_overhead.rs`).
 //!
-//! Three event kinds flow through a sink:
+//! Two event kinds stream through a sink while the pipeline runs:
 //!
 //! - [`IterEvent`] — one per update iteration: the objective split into
-//!   its fit and Laplacian terms, wall time, the health classification
-//!   (PR 3), whether the iterate was accepted, and whether the frozen
-//!   landmark columns are still bitwise intact;
+//!   its fit and Laplacian terms, wall time, the health classification,
+//!   whether the iterate was accepted, and whether the frozen landmark
+//!   columns are still bitwise intact;
 //! - [`SpanEvent`] — one per pipeline [`Phase`] (SI fill, graph build
 //!   with its kNN/assembly split, landmark k-means, pattern compile,
-//!   the whole update loop);
-//! - engine events — every [`FitEvent`] the resilient engine records is
-//!   mirrored to the sink in order, so a trace's event stream equals
-//!   `FitReport::events` exactly.
+//!   the whole update loop).
 //!
-//! Kernel counters ([`KernelCounters`]) are accumulated in the
-//! [`smfl_linalg::Workspace`] by the updaters themselves (a few integer
-//! adds per iteration, paid unconditionally — they cannot change any
-//! `f64` result) and handed to the sink once at fit end.
+//! At the end of a solve the sink receives the final kernel counters
+//! ([`KernelCounters`], accumulated in the [`smfl_linalg::Workspace`]
+//! by the updaters — a few integer adds per iteration, paid
+//! unconditionally, that cannot change any `f64` result) and then the
+//! finished [`FitReport`] through [`TraceSink::finish`]. The report's
+//! `events` are the one store of the engine's [`FitEvent`]s —
+//! compile-time, rebind-time and solve-time alike — so a sink that
+//! wants them reads them there rather than through a second channel.
 //!
-//! Two concrete sinks ship: [`RecordingSink`] buffers everything
-//! in memory as a [`Trace`] (powering the theorem-grade test suites and
-//! `FittedModel::trace()`), and [`JsonlSink`] streams one JSON object
-//! per event to a buffered file — enabled process-wide by pointing the
-//! `SMFL_TRACE` environment variable at a path.
+//! Two concrete sinks ship: [`RecordingSink`] buffers iterations, spans
+//! and counters in memory as a [`Trace`] (powering the theorem-grade
+//! test suites), and [`JsonlSink`] streams one JSON object per event to
+//! a buffered file, writing the report's events at the end — enabled
+//! process-wide for [`crate::fit`] by pointing the `SMFL_TRACE`
+//! environment variable at a path.
 
-use crate::health::{FitEvent, FitFailure};
+use crate::health::{FitEvent, FitFailure, FitReport};
 use smfl_linalg::KernelCounters;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -130,8 +132,8 @@ pub struct SpanEvent {
 ///
 /// Implementations must never fail the fit: sinks swallow their own
 /// I/O errors. The engine promises to call [`TraceSink::finish`]
-/// exactly once, after the last event of a successful fit (error
-/// returns may skip it; buffered sinks also flush on drop).
+/// exactly once per solve, after the last event of a successful solve
+/// (error returns may skip it; buffered sinks also flush on drop).
 ///
 /// Custom sinks keep the default `ENABLED = true`; only [`NoopSink`]
 /// opts out, which removes every instrumentation site at compile time.
@@ -145,15 +147,13 @@ pub trait TraceSink {
     /// One pipeline phase completed.
     fn span(&mut self, event: &SpanEvent);
 
-    /// The resilient engine recorded a [`FitEvent`] (mirrors
-    /// `FitReport::events` in order).
-    fn engine(&mut self, event: &FitEvent);
-
-    /// Final kernel counters, reported once at fit end.
+    /// Final kernel counters, reported once at solve end.
     fn counters(&mut self, _counters: &KernelCounters) {}
 
-    /// The fit finished; flush any buffers.
-    fn finish(&mut self) {}
+    /// The solve finished with `report` — the model's [`FitReport`],
+    /// whose `events` hold every engine event of the plan and the
+    /// solve, in order. Flush any buffers here.
+    fn finish(&mut self, _report: &FitReport) {}
 }
 
 /// The disabled sink: its `ENABLED = false` makes every `if S::ENABLED`
@@ -167,10 +167,10 @@ impl TraceSink for NoopSink {
     const ENABLED: bool = false;
     fn iter(&mut self, _event: &IterEvent) {}
     fn span(&mut self, _event: &SpanEvent) {}
-    fn engine(&mut self, _event: &FitEvent) {}
 }
 
-/// Everything one fit emitted, in memory.
+/// The iteration, span and counter streams of one fit, in memory (the
+/// engine events live in the model's [`FitReport`]).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Per-iteration events, in loop order (restart iterations
@@ -178,8 +178,6 @@ pub struct Trace {
     pub iterations: Vec<IterEvent>,
     /// Pipeline phase timings, in completion order.
     pub spans: Vec<SpanEvent>,
-    /// Mirror of `FitReport::events`, in order.
-    pub events: Vec<FitEvent>,
     /// Final kernel counters of the fit.
     pub counters: KernelCounters,
 }
@@ -224,8 +222,7 @@ impl Trace {
     }
 }
 
-/// In-memory sink buffering a [`Trace`] — the test-suite workhorse and
-/// the backing of `FittedModel::trace()`.
+/// In-memory sink buffering a [`Trace`] — the test-suite workhorse.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingSink {
     trace: Trace,
@@ -268,10 +265,6 @@ impl TraceSink for RecordingSink {
         self.trace.spans.push(*event);
     }
 
-    fn engine(&mut self, event: &FitEvent) {
-        self.trace.events.push(*event);
-    }
-
     fn counters(&mut self, counters: &KernelCounters) {
         self.trace.counters = *counters;
     }
@@ -279,11 +272,13 @@ impl TraceSink for RecordingSink {
 
 /// Buffered JSONL file sink: one JSON object per event, streamed
 /// through a `BufWriter`. Write errors after creation are swallowed
-/// (telemetry must never fail a fit); [`TraceSink::finish`] flushes.
+/// (telemetry must never fail a fit); [`TraceSink::finish`] writes the
+/// report's engine events and flushes.
 ///
 /// Activated process-wide by `SMFL_TRACE=path` (checked once per call
-/// to `fit`/`fit_resilient`), or used directly via
-/// `model::fit_with_sink`.
+/// to [`crate::fit`]), or passed directly to
+/// [`crate::FitPlan::compile_with_sink`] and
+/// [`crate::FitPlan::solve_with_sink`].
 #[derive(Debug)]
 pub struct JsonlSink {
     out: std::io::BufWriter<std::fs::File>,
@@ -361,14 +356,6 @@ impl TraceSink for JsonlSink {
         );
     }
 
-    fn engine(&mut self, e: &FitEvent) {
-        let (name, detail) = event_parts(e);
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"event\",\"event\":\"{name}\",\"detail\":\"{detail}\"}}",
-        );
-    }
-
     fn counters(&mut self, c: &KernelCounters) {
         let _ = writeln!(
             self.out,
@@ -378,7 +365,14 @@ impl TraceSink for JsonlSink {
         );
     }
 
-    fn finish(&mut self) {
+    fn finish(&mut self, report: &FitReport) {
+        for e in &report.events {
+            let (name, detail) = event_parts(e);
+            let _ = writeln!(
+                self.out,
+                "{{\"type\":\"event\",\"event\":\"{name}\",\"detail\":\"{detail}\"}}",
+            );
+        }
         let _ = self.out.flush();
     }
 }
@@ -409,9 +403,11 @@ mod tests {
 
     #[test]
     fn noop_sink_is_disabled_at_compile_time() {
-        assert!(!NoopSink::ENABLED);
-        assert!(RecordingSink::ENABLED);
-        assert!(JsonlSink::ENABLED);
+        const {
+            assert!(!NoopSink::ENABLED);
+            assert!(RecordingSink::ENABLED);
+            assert!(JsonlSink::ENABLED);
+        }
     }
 
     #[test]
@@ -420,12 +416,10 @@ mod tests {
         sink.iter(&iter_event(0, 2.0, true));
         sink.iter(&iter_event(1, 1.0, true));
         sink.span(&SpanEvent { phase: Phase::GraphBuild, wall: Duration::from_millis(1) });
-        sink.engine(&FitEvent::Sanitized { cells: 2 });
         sink.counters(&KernelCounters { sddmm: 3, ..KernelCounters::default() });
         let trace = sink.into_trace();
         assert_eq!(trace.iterations.len(), 2);
         assert_eq!(trace.accepted_objectives().collect::<Vec<_>>(), vec![2.0, 1.0]);
-        assert_eq!(trace.events, vec![FitEvent::Sanitized { cells: 2 }]);
         assert_eq!(trace.counters.sddmm, 3);
         assert!(trace.span_total(Phase::GraphBuild).is_some());
         assert!(trace.span_total(Phase::Landmarks).is_none());

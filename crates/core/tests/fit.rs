@@ -2,7 +2,7 @@
 //! unit tests of `model.rs`, kept as an integration suite now that the
 //! pipeline lives in `plan.rs`/`engine.rs`).
 
-use smfl_core::{fit, impute, repair, SmflConfig};
+use smfl_core::{fit, impute, repair, FitPlan, SmflConfig};
 use smfl_linalg::random::uniform_matrix;
 use smfl_linalg::{LinalgError, Mask, Matrix};
 
@@ -170,10 +170,16 @@ fn validation_rejects_bad_configs() {
 
 #[test]
 fn negative_observed_data_rejected_for_multiplicative() {
-    let mut x = spatial_data(10, 5, 11);
+    let clean = spatial_data(10, 5, 11);
+    let mut x = clean.clone();
     x.set(2, 2, -0.5);
     let omega = Mask::full(10, 5);
-    assert!(fit(&x, &omega, &SmflConfig::nmf(2)).is_err());
+    let negative = LinalgError::Negative { op: "fit", index: (2, 2) };
+    assert_eq!(fit(&x, &omega, &SmflConfig::nmf(2)).unwrap_err(), negative);
+    // A rebind runs the same check and leaves the plan usable.
+    let mut plan = FitPlan::compile(&clean, &omega, &SmflConfig::nmf(2).with_max_iter(5)).unwrap();
+    assert_eq!(plan.rebind(&x, &omega).unwrap_err(), negative);
+    assert!(plan.solve().is_ok());
     // ...but fine when the negative cell is unobserved.
     let mut omega2 = Mask::full(10, 5);
     omega2.set(2, 2, false);

@@ -18,9 +18,24 @@
 //! negative control proving the predicate is not vacuous.
 
 use proptest::prelude::*;
-use smfl_core::{fit_traced, fit_with_sink, RecordingSink, SmflConfig, Variant};
+use smfl_core::{
+    FitPlan, FittedModel, RecordingSink, SmflConfig, SolveOptions, Trace, Variant,
+};
 use smfl_linalg::random::uniform_matrix;
 use smfl_linalg::{Mask, Matrix};
+
+/// Compile + cold solve through one `RecordingSink`; the sink keeps
+/// whatever was recorded even when the fit fails.
+fn traced(
+    x: &Matrix,
+    omega: &Mask,
+    cfg: &SmflConfig,
+) -> (smfl_linalg::Result<FittedModel>, Trace) {
+    let mut sink = RecordingSink::with_capacity(cfg.max_iter);
+    let model = FitPlan::compile_with_sink(x, omega, cfg, &mut sink)
+        .and_then(|mut plan| plan.solve_with_sink(&SolveOptions::new(), &mut sink));
+    (model, sink.into_trace())
+}
 
 /// Random spatial problem: data in [0, 1], 2 coordinate columns, a mask
 /// with ~`missing_pct`% of cells hidden (at least one observed cell per
@@ -76,8 +91,8 @@ proptest! {
         for variant in [Variant::Nmf, Variant::Smf, Variant::Smfl] {
             let rank = rank.min(m.min(n));
             let cfg = config_for(variant, rank, lambda, p, seed);
-            let model = fit_traced(&x, &omega, &cfg).unwrap();
-            let trace = model.trace().expect("fit_traced attaches a trace");
+            let (model, trace) = traced(&x, &omega, &cfg);
+            let model = model.unwrap();
 
             prop_assert!(
                 trace.non_increasing(1e-9),
@@ -122,8 +137,8 @@ proptest! {
             .with_max_iter(20)
             .with_seed(seed)
             .with_tol(0.0);
-        let model = fit_traced(&x, &omega, &cfg).unwrap();
-        let trace = model.trace().unwrap();
+        let (model, trace) = traced(&x, &omega, &cfg);
+        let model = model.unwrap();
         prop_assert!(trace.non_increasing(1e-9));
         prop_assert!(trace.landmarks_always_intact());
         prop_assert_eq!(trace.counters.hals_sweeps, model.iterations as u64);
@@ -146,11 +161,10 @@ fn predicate_catches_a_non_monotone_optimizer() {
             .with_seed(7)
             .with_tol(0.0)
             .with_gradient_descent(lr);
-        let mut sink = RecordingSink::new();
-        // Divergence may abort the fit with an error; the sink keeps
+        // Divergence may abort the fit with an error; the trace keeps
         // whatever trajectory was recorded up to that point.
-        let _ = fit_with_sink(&x, &omega, &cfg, &mut sink);
-        if !sink.trace().non_increasing(1e-9) {
+        let (_, trace) = traced(&x, &omega, &cfg);
+        if !trace.non_increasing(1e-9) {
             caught = true;
             break;
         }

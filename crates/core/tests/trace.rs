@@ -5,9 +5,11 @@
 //!    factors, history, and report;
 //! 2. an enabled trace is complete — every pipeline phase spanned,
 //!    kernel counters populated, one `IterEvent` per loop iteration;
-//! 3. the trace mirrors the resilient engine faithfully — its event
-//!    stream equals `FitReport::events` under sanitization storms and
-//!    restart ladders alike;
+//! 3. the JSONL sink writes exactly the model's `FitReport::events` —
+//!    the one event store — whether the fit is one-shot under
+//!    `SMFL_TRACE`, a compile without a sink followed by a traced
+//!    solve, or a sanitizing `rebind` followed by a traced solve; and
+//!    under a restart ladder the accepted iterations equal the history;
 //! 4. the JSONL sink emits one well-formed object per line;
 //! 5. the golden thread-invariance property (PR 2) holds for the traced
 //!    objective stream: `SMFL_THREADS=1` and `=4` write identical
@@ -15,9 +17,10 @@
 //!    so this runs seeded child processes via the `SMFL_TRACE`
 //!    environment toggle — which exercises that toggle end to end.
 
+use smfl_core::telemetry::event_parts;
 use smfl_core::{
-    fit, fit_traced, fit_with_sink, FitEvent, JsonlSink, NoopSink, Phase, RecordingSink,
-    SmflConfig,
+    fit, FitEvent, FitPlan, FitReport, FittedModel, JsonlSink, NoopSink, Phase, RecordingSink,
+    SmflConfig, SolveOptions, Trace, TraceSink,
 };
 use smfl_datasets::{inject_inf_spike, inject_nan_burst};
 use smfl_linalg::random::uniform_matrix;
@@ -47,6 +50,20 @@ fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
+/// Compile + cold solve, both streaming into `sink`.
+fn fit_with<S: TraceSink>(x: &Matrix, omega: &Mask, cfg: &SmflConfig, sink: &mut S) -> FittedModel {
+    FitPlan::compile_with_sink(x, omega, cfg, sink)
+        .and_then(|mut plan| plan.solve_with_sink(&SolveOptions::new(), sink))
+        .unwrap()
+}
+
+/// [`fit_with`] into a fresh [`RecordingSink`], returning its trace.
+fn record_fit(x: &Matrix, omega: &Mask, cfg: &SmflConfig) -> (FittedModel, Trace) {
+    let mut sink = RecordingSink::new();
+    let model = fit_with(x, omega, cfg, &mut sink);
+    (model, sink.into_trace())
+}
+
 // ---------------------------------------------------------------------
 // 1. Observation does not perturb the fit.
 // ---------------------------------------------------------------------
@@ -56,8 +73,8 @@ fn tracing_does_not_perturb_the_fit() {
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(5).with_tol(0.0);
 
     let plain = fit(&x, &omega, &cfg).unwrap();
-    let noop = fit_with_sink(&x, &omega, &cfg, &mut NoopSink).unwrap();
-    let traced = fit_traced(&x, &omega, &cfg).unwrap();
+    let noop = fit_with(&x, &omega, &cfg, &mut NoopSink);
+    let (traced, trace) = record_fit(&x, &omega, &cfg);
 
     for other in [&noop, &traced] {
         assert!(plain.u.approx_eq(&other.u, 0.0), "U drifted under observation");
@@ -67,8 +84,7 @@ fn tracing_does_not_perturb_the_fit() {
         assert_eq!(plain.converged, other.converged);
         assert_eq!(plain.report, other.report);
     }
-    assert!(plain.trace().is_none() && noop.trace().is_none());
-    assert!(traced.trace().is_some());
+    assert_eq!(trace.iterations.len(), traced.iterations);
 }
 
 // ---------------------------------------------------------------------
@@ -80,8 +96,7 @@ fn trace_covers_every_phase_and_counter() {
     // SDDMM/SpMM counters (not dense_steps) must move.
     let (x, omega) = problem(40, 6, 9, 60);
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(15).with_seed(9).with_tol(0.0);
-    let model = fit_traced(&x, &omega, &cfg).unwrap();
-    let trace = model.trace().unwrap();
+    let (model, trace) = record_fit(&x, &omega, &cfg);
 
     for phase in [
         Phase::SiFill,
@@ -112,32 +127,118 @@ fn trace_covers_every_phase_and_counter() {
 }
 
 // ---------------------------------------------------------------------
-// 3. The trace mirrors the resilient engine exactly.
+// 3. The JSONL event lines are exactly the model's FitReport events.
 // ---------------------------------------------------------------------
-#[test]
-fn resilient_trace_mirrors_fit_report() {
-    // (a) A sanitization storm: NaN/Inf bursts are repaired before the
-    // loop; every FitEvent in the report must appear in the trace, in
-    // order.
-    let n = 30;
-    let mut x = uniform_matrix(n, 6, 0.1, 1.0, 99);
-    inject_nan_burst(&mut x, 4, 1);
-    inject_inf_spike(&mut x, 3, 2);
-    let omega = Mask::full(n, 6);
-    let cfg = SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(99).resilient();
-    let mut sink = RecordingSink::new();
-    let model = fit_with_sink(&x, &omega, &cfg, &mut sink).unwrap();
-    let trace = sink.trace();
-    assert!(!model.report.events.is_empty(), "storm produced no events");
-    assert_eq!(trace.events, model.report.events);
-    assert!(trace
+
+/// The `(event, detail)` pairs of a JSONL trace's event lines, in order.
+fn jsonl_events(path: &std::path::Path) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    text.lines()
+        .filter(|l| l.starts_with("{\"type\":\"event\""))
+        .map(|l| {
+            let field = |key: &str, end: &str| {
+                let start = l.find(key).unwrap() + key.len();
+                l[start..start + l[start..].find(end).unwrap()].to_string()
+            };
+            (field("\"event\":\"", "\""), field("\"detail\":\"", "\"}"))
+        })
+        .collect()
+}
+
+/// A report's events in the JSONL `(event, detail)` form.
+fn report_events(report: &FitReport) -> Vec<(String, String)> {
+    report
         .events
         .iter()
-        .any(|e| matches!(e, FitEvent::Sanitized { .. })));
+        .map(|e| {
+            let (name, detail) = event_parts(e);
+            (name.to_string(), detail)
+        })
+        .collect()
+}
 
-    // (b) A restart ladder: divergent gradient descent under the health
-    // monitor. Sweep learning rates until a run actually restarts, then
-    // require the trace to account for every rung.
+/// A sanitization storm: NaN/Inf bursts the resilient engine repairs
+/// before the loop.
+fn storm(seed: u64) -> Matrix {
+    let mut x = uniform_matrix(30, 6, 0.1, 1.0, seed);
+    inject_nan_burst(&mut x, 4, 1);
+    inject_inf_spike(&mut x, 3, 2);
+    x
+}
+
+fn storm_config() -> SmflConfig {
+    SmflConfig::smfl(3, 2).with_max_iter(20).with_seed(99).resilient()
+}
+
+fn assert_sanitized(model: &FittedModel) {
+    assert!(
+        model.report.events.iter().any(|e| matches!(e, FitEvent::Sanitized { .. })),
+        "storm produced no Sanitized event: {:?}",
+        model.report.events
+    );
+}
+
+/// Child-process body of the one-shot case: a resilient storm fit with
+/// `SMFL_TRACE` set by the parent, checked against the file it wrote.
+/// A no-op unless spawned by `jsonl_events_equal_fit_report`.
+#[test]
+fn jsonl_events_child_fit() {
+    let Some(path) = std::env::var_os("SMFL_TRACE_EVENTS_CHILD") else {
+        return;
+    };
+    let model = fit(&storm(99), &Mask::full(30, 6), &storm_config()).unwrap();
+    assert_sanitized(&model);
+    assert_eq!(jsonl_events(std::path::Path::new(&path)), report_events(&model.report));
+}
+
+#[test]
+fn jsonl_events_equal_fit_report() {
+    let omega = Mask::full(30, 6);
+    let cfg = storm_config();
+
+    // (a) One-shot `fit` under SMFL_TRACE, in a child process so the
+    // environment toggle cannot leak into other tests' fits.
+    let path = tmp("events_oneshot.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let status = Command::new(std::env::current_exe().unwrap())
+        .args(["jsonl_events_child_fit", "--exact", "--test-threads=1"])
+        .env("SMFL_TRACE_EVENTS_CHILD", &path)
+        .env("SMFL_TRACE", &path)
+        .status()
+        .expect("failed to spawn child test process");
+    assert!(status.success(), "one-shot SMFL_TRACE events differ from the report");
+    let _ = std::fs::remove_file(&path);
+
+    // (b) Compile without a sink, then a traced solve: the compile-time
+    // events reach the sink through the solve's report.
+    let mut plan = FitPlan::compile(&storm(99), &omega, &cfg).unwrap();
+    assert_solve_events_match(&mut plan, "events_split.jsonl");
+
+    // (c) A sanitizing rebind, then a traced solve: the rebind's event
+    // is on the report and therefore in the trace.
+    let clean = uniform_matrix(30, 6, 0.1, 1.0, 98);
+    let mut plan = FitPlan::compile(&clean, &omega, &cfg).unwrap();
+    plan.rebind(&storm(98), &omega).unwrap();
+    assert_solve_events_match(&mut plan, "events_rebind.jsonl");
+}
+
+/// Solves `plan` into a fresh JSONL file and asserts its event lines
+/// are the returned model's report events, sanitization included.
+fn assert_solve_events_match(plan: &mut FitPlan, name: &str) {
+    let path = tmp(name);
+    let mut sink = JsonlSink::create(&path).unwrap();
+    let model = plan.solve_with_sink(&SolveOptions::new(), &mut sink).unwrap();
+    drop(sink);
+    assert_sanitized(&model);
+    assert_eq!(jsonl_events(&path), report_events(&model.report));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Under a restart ladder (divergent gradient descent with the health
+/// monitor on) restart iterations are streamed but not accepted, and
+/// the accepted trajectory equals the history bitwise.
+#[test]
+fn restart_ladder_trace_matches_history() {
     let (x, omega) = problem(24, 4, 7, 0);
     let mut verified = false;
     for lr in [1.0, 2.0, 4.0, 6.0, 8.0] {
@@ -147,20 +248,13 @@ fn resilient_trace_mirrors_fit_report() {
             .with_seed(7)
             .resilient();
         let mut sink = RecordingSink::new();
-        let Ok(model) = fit_with_sink(&x, &omega, &cfg, &mut sink) else {
+        let Ok(model) = FitPlan::compile_with_sink(&x, &omega, &cfg, &mut sink)
+            .and_then(|mut plan| plan.solve_with_sink(&SolveOptions::new(), &mut sink))
+        else {
             continue;
         };
-        let trace = sink.trace();
-        assert_eq!(trace.events, model.report.events, "lr={lr}: streams diverged");
-        let restarts = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, FitEvent::Restarted { .. }))
-            .count();
-        assert_eq!(restarts, model.report.restarts, "lr={lr}");
-        if restarts > 0 {
-            // Restart iterations are recorded but not accepted, and the
-            // accepted trajectory still matches the history bitwise.
+        if model.report.restarts > 0 {
+            let trace = sink.trace();
             assert!(trace.iterations.iter().any(|e| !e.accepted), "lr={lr}");
             let accepted: Vec<f64> = trace.accepted_objectives().collect();
             assert_eq!(accepted, model.objective_history, "lr={lr}");
@@ -179,7 +273,7 @@ fn jsonl_sink_writes_one_object_per_line() {
     let cfg = SmflConfig::smfl(3, 2).with_max_iter(10).with_seed(11).with_tol(0.0);
     let path = tmp("trace_jsonl_test.jsonl");
     let mut sink = JsonlSink::create(&path).unwrap();
-    let model = fit_with_sink(&x, &omega, &cfg, &mut sink).unwrap();
+    let model = fit_with(&x, &omega, &cfg, &mut sink);
     drop(sink);
 
     let text = std::fs::read_to_string(&path).unwrap();

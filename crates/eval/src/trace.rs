@@ -1,10 +1,13 @@
 //! Table-style rendering of fit telemetry (DESIGN.md §11) for the
-//! efficiency experiments: turn a [`Trace`] recorded by
-//! `smfl_core::fit_traced` into the phase-breakdown and per-iteration
-//! timing views the experiment binaries print next to Fig. 9 numbers.
+//! efficiency experiments: turn a [`Trace`] recorded by a
+//! `smfl_core::RecordingSink` (passed to `FitPlan::compile_with_sink`
+//! and `solve_with_sink`), together with the model's [`FitReport`],
+//! into the phase-breakdown and per-iteration timing views the
+//! experiment binaries print next to Fig. 9 numbers.
 
 use crate::timing::Timing;
 use smfl_core::telemetry::{event_parts, Phase, Trace};
+use smfl_core::FitReport;
 
 /// All phases in pipeline order (sub-spans after their parent).
 const PHASES: [Phase; 10] = [
@@ -42,8 +45,9 @@ pub fn phase_rows(trace: &Trace) -> Vec<(&'static str, f64)> {
 }
 
 /// Renders a trace as an aligned plain-text table: phase timings,
-/// iteration statistics, kernel counters, and any engine events.
-pub fn render_table(trace: &Trace) -> String {
+/// iteration statistics, kernel counters, and the engine events of the
+/// fit's `report`.
+pub fn render_table(trace: &Trace, report: &FitReport) -> String {
     let mut out = String::new();
     out.push_str("phase                 total_s\n");
     for (name, secs) in phase_rows(trace) {
@@ -70,7 +74,7 @@ pub fn render_table(trace: &Trace) -> String {
         "kernels               sddmm={} spmm={} spmm_t={} dense={} hals={} masked_nnz={}\n",
         c.sddmm, c.spmm, c.spmm_t, c.dense_steps, c.hals_sweeps, c.masked_nnz
     ));
-    for e in &trace.events {
+    for e in &report.events {
         let (name, detail) = event_parts(e);
         out.push_str(&format!("event                 {name}: {detail}\n"));
     }
@@ -80,7 +84,7 @@ pub fn render_table(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smfl_core::{fit_traced, SmflConfig};
+    use smfl_core::{FitEvent, FitPlan, RecordingSink, SmflConfig, SolveOptions};
     use smfl_linalg::random::uniform_matrix;
     use smfl_linalg::Mask;
 
@@ -91,8 +95,11 @@ mod tests {
             omega.set(i, 2, false);
         }
         let cfg = SmflConfig::smfl(3, 2).with_max_iter(8).with_seed(3).with_tol(0.0);
-        let model = fit_traced(&x, &omega, &cfg).unwrap();
-        model.trace.as_deref().unwrap().clone()
+        let mut sink = RecordingSink::new();
+        FitPlan::compile_with_sink(&x, &omega, &cfg, &mut sink)
+            .and_then(|mut plan| plan.solve_with_sink(&SolveOptions::new(), &mut sink))
+            .unwrap();
+        sink.into_trace()
     }
 
     #[test]
@@ -124,8 +131,13 @@ mod tests {
     #[test]
     fn render_table_mentions_all_sections() {
         let trace = traced();
-        let table = render_table(&trace);
+        let report = FitReport {
+            events: vec![FitEvent::Sanitized { cells: 2 }],
+            ..FitReport::default()
+        };
+        let table = render_table(&trace, &report);
         assert!(table.contains("update_loop"));
+        assert!(table.contains("sanitized: cells=2"), "{table}");
         assert!(table.contains("iter wall median_s"));
         assert!(table.contains("sddmm="));
         assert!(table.lines().count() >= 5, "table too short:\n{table}");

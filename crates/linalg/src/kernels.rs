@@ -638,7 +638,7 @@ mod tests {
         let mut mask = Mask::empty(n, m);
         for i in 0..n {
             for j in 0..m {
-                if (i * m + j) % keep_mod != 0 {
+                if !(i * m + j).is_multiple_of(keep_mod) {
                     mask.set(i, j, true);
                 }
             }
@@ -788,10 +788,10 @@ mod tests {
         let vt = Matrix::zeros(3, 2);
         let mut bad = vec![0.0; 5];
         assert!(p.sddmm_into(&u, &vt, &mut bad).is_err());
-        assert!(p.sddmm_into(&Matrix::zeros(5, 2), &vt, &mut vec![0.0; 12]).is_err());
-        assert!(p.spmm_into(&vec![0.0; 12], &vt, &mut Matrix::zeros(3, 2)).is_err());
-        assert!(p.spmm_t_into(&vec![0.0; 12], &u, 9, &mut Matrix::zeros(3, 2)).is_err());
-        assert!(p.gather_into(&Matrix::zeros(2, 2), &mut vec![0.0; 12]).is_err());
+        assert!(p.sddmm_into(&Matrix::zeros(5, 2), &vt, &mut [0.0; 12]).is_err());
+        assert!(p.spmm_into(&[0.0; 12], &vt, &mut Matrix::zeros(3, 2)).is_err());
+        assert!(p.spmm_t_into(&[0.0; 12], &u, 9, &mut Matrix::zeros(3, 2)).is_err());
+        assert!(p.gather_into(&Matrix::zeros(2, 2), &mut [0.0; 12]).is_err());
         assert!(p.fit_term(&[0.0]).is_err());
     }
 

@@ -30,3 +30,8 @@ pub use smfl_eval as eval;
 pub use smfl_linalg as linalg;
 pub use smfl_nn as nn;
 pub use smfl_spatial as spatial;
+
+/// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
