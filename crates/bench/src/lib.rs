@@ -1,7 +1,7 @@
 //! # smfl-bench
 //!
-//! Benchmark harness reproducing **every table and figure** of the SMFL
-//! paper's evaluation (§IV). Each experiment has a dedicated binary
+//! Experiment binaries reproducing **every table and figure** of the
+//! SMFL paper's evaluation (§IV). Each experiment has a dedicated binary
 //! (`cargo run --release -p smfl-bench --bin <name>`):
 //!
 //! | Binary | Reproduces |
@@ -19,9 +19,8 @@
 //! | `fig8`   | Fig. 8 — RMS vs K |
 //! | `fig9`   | Fig. 9 — time vs number of tuples |
 //!
-//! Criterion micro-benchmarks (`cargo bench -p smfl-bench`) cover the
-//! substrate and the DESIGN.md ablations (update-rule cost with/without
-//! landmarks, CSR vs dense Laplacian products, kd-tree vs brute force).
+//! Timing of the fit itself, end to end and per layer, is measured by
+//! the separate `perfbench` package at the repository root.
 //!
 //! Configuration via `SMFL_SCALE=small|paper`, `SMFL_RUNS=<n>`,
 //! `SMFL_RANK=<k>` (see [`harness::HarnessConfig`]).

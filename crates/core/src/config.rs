@@ -11,7 +11,7 @@
 //! Defaults follow the paper: `t₁ = 500` update iterations, `t₂ = 300`
 //! k-means iterations, `λ = 0.1`, `p = 3` (the sweet spots of Figs. 6/7).
 
-use smfl_spatial::{GraphWeighting, NeighborSearch};
+use smfl_spatial::GraphWeighting;
 
 /// Which member of the model family to fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,8 +131,6 @@ pub struct SmflConfig {
     pub variant: Variant,
     /// Optimizer.
     pub updater: Updater,
-    /// Neighbour-search backend for graph construction.
-    pub search: NeighborSearch,
     /// Edge weighting for the similarity matrix (the paper uses binary
     /// weights; heat-kernel weights are a GNMF-lineage extension).
     pub weighting: GraphWeighting,
@@ -154,7 +152,6 @@ impl SmflConfig {
             seed: 0,
             variant: Variant::Smfl,
             updater: Updater::Multiplicative,
-            search: NeighborSearch::KdTree,
             weighting: GraphWeighting::Binary,
             resilience: Resilience::default(),
         }
@@ -222,12 +219,6 @@ impl SmflConfig {
     /// Switches to the HALS optimizer.
     pub fn with_hals(mut self) -> Self {
         self.updater = Updater::Hals;
-        self
-    }
-
-    /// Overrides the neighbour-search backend.
-    pub fn with_search(mut self, search: NeighborSearch) -> Self {
-        self.search = search;
         self
     }
 

@@ -76,7 +76,7 @@ pub fn from_str(text: &str) -> io::Result<FittedModel> {
             Some(section @ ("u" | "v" | "landmarks")) => {
                 let rows: usize = parse(parts.next())?;
                 let cols: usize = parse(parts.next())?;
-                let m = read_matrix(&mut lines, rows, cols)?;
+                let m = read_matrix(&mut lines, rows, cols, text.len())?;
                 match section {
                     "u" => u = Some(m),
                     "v" => v = Some(m),
@@ -146,8 +146,14 @@ fn read_matrix<'a>(
     lines: &mut impl Iterator<Item = &'a str>,
     rows: usize,
     cols: usize,
+    text_len: usize,
 ) -> io::Result<Matrix> {
-    let mut data = Vec::with_capacity(rows * cols);
+    let cells = rows
+        .checked_mul(cols)
+        .ok_or_else(|| bad(format!("matrix size {rows}x{cols} overflows")))?;
+    // Every cell takes at least one byte of text, so the header's sizes
+    // never reserve more than the text could fill.
+    let mut data = Vec::with_capacity(cells.min(text_len));
     for r in 0..rows {
         let line = lines
             .next()
@@ -246,6 +252,19 @@ mod tests {
         assert!(from_str("smfl-model v1\nu 1 1\nnotanumber\n").is_err());
         // missing meta
         assert!(from_str("smfl-model v1\nu 1 1\n0.5\nv 1 1\n0.5\n").is_err());
+    }
+
+    #[test]
+    fn oversized_matrix_headers_are_rejected_without_panicking() {
+        for header in [
+            "u 4294967296 4294967296",          // rows * cols overflows usize
+            "u 1000000000000 1",                // an 8 TB reservation
+            "v 18446744073709551615 2",         // usize::MAX rows
+            "landmarks 1 18446744073709551615", // usize::MAX cols
+        ] {
+            let err = from_str(&format!("smfl-model v1\n{header}\n0.5\n")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{header}");
+        }
     }
 
     #[test]

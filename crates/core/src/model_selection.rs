@@ -13,7 +13,7 @@
 //! cache therefore runs k-means once per distinct `K`, builds one graph
 //! per distinct `p`, and compiles one observed pattern per fold,
 //! instead of once per candidate × fold ([`grid_search_uncached`] keeps
-//! the naive path for benchmarking and equivalence tests). Skipped
+//! the naive path as the equivalence tests' oracle). Skipped
 //! candidates and folds are recorded, not silently dropped, and
 //! non-finite scores are excluded from the ranking — so
 //! [`GridSearchResult::best`] is infallible by construction.
@@ -307,8 +307,8 @@ pub fn grid_search_cached(
 
 /// The naive search: every candidate-fold fit recompiles everything
 /// from scratch via [`fit`]. Scores and ranking are identical to
-/// [`grid_search`]'s — kept as the reference for the plan-reuse
-/// benchmark and the equivalence tests.
+/// [`grid_search`]'s — kept as the oracle the equivalence tests pin
+/// the cached search to.
 pub fn grid_search_uncached(
     x: &Matrix,
     omega: &Mask,

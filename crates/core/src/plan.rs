@@ -13,7 +13,7 @@
 //! Each sub-artifact depends on a small key of config fields, which is
 //! what [`PlanCache`] exploits during model selection: landmarks are
 //! keyed on `(K, seed, t₂, resilience)`, the graph on `(p, weighting,
-//! search, resilience)`, the compiled pattern on the (sanitized) train
+//! resilience)`, the compiled pattern on the (sanitized) train
 //! mask — all of them additionally on the SI matrix actually fed to
 //! them. `grid_search` over the paper's λ-sweep therefore runs k-means
 //! once per distinct `K` and builds one graph per distinct `p` instead
@@ -26,7 +26,7 @@ use crate::model::FittedModel;
 use crate::resilience::{build_graph_traced, graph_resilient, landmarks_resilient};
 use crate::telemetry::{NoopSink, Phase, SpanEvent, TraceSink};
 use smfl_linalg::{LinalgError, Mask, Matrix, ObservedPattern, Result, Workspace};
-use smfl_spatial::{fill_missing_si, GraphWeighting, NeighborSearch, SpatialGraph};
+use smfl_spatial::{fill_missing_si, GraphWeighting, SpatialGraph};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -227,7 +227,6 @@ impl FitPlan {
             let key = GraphKey {
                 p: config.p_neighbors,
                 weighting: config.weighting,
-                search: config.search,
                 resilient: res.enabled,
             };
             match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
@@ -485,7 +484,6 @@ struct LmEntry {
 struct GraphKey {
     p: usize,
     weighting: GraphWeighting,
-    search: NeighborSearch,
     resilient: bool,
 }
 
@@ -496,7 +494,7 @@ struct GraphEntry {
 }
 
 /// Counters of what a [`PlanCache`] computed versus reused — the
-/// honest ledger behind the plan-reuse benchmark.
+/// honest ledger of a model-selection run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Landmark k-means stages actually executed (cache misses).
@@ -523,7 +521,7 @@ pub struct PlanCacheStats {
 /// folds.
 ///
 /// Keying: landmarks on `(K, seed, t₂, resilience)`, graphs on `(p,
-/// weighting, search, resilience)`, patterns on the sanitized mask —
+/// weighting, resilience)`, patterns on the sanitized mask —
 /// each entry implicitly also on the SI matrix it was built from (a
 /// compile presenting a different SI flushes the landmark and graph
 /// entries). **One cache serves one data matrix `x`**: the cache

@@ -15,7 +15,7 @@ use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::telemetry::{Phase, SpanEvent, TraceSink};
 use smfl_linalg::{Mask, Matrix, Result};
-use smfl_spatial::{dedupe_coordinates, SpatialGraph};
+use smfl_spatial::{dedupe_coordinates, NeighborSearch, SpatialGraph};
 
 /// Deterministic seed derivation for retries — `salt = 0` returns the
 /// base seed unchanged so the clean path is bitwise-stable.
@@ -135,22 +135,32 @@ pub(crate) fn graph_resilient<S: TraceSink>(
     None
 }
 
-/// `SpatialGraph::build_weighted`, emitting the kNN/assembly sub-spans
-/// when the sink is enabled (the disabled path calls the plain builder
-/// so no clock is ever read).
+/// `SpatialGraph::build_weighted` on the kd-tree, emitting the
+/// kNN/assembly sub-spans when the sink is enabled (the disabled path
+/// calls the plain builder so no clock is ever read).
 pub(crate) fn build_graph_traced<S: TraceSink>(
     si: &Matrix,
     config: &SmflConfig,
     sink: &mut S,
 ) -> Result<SpatialGraph> {
     if S::ENABLED {
-        let (g, stats) =
-            SpatialGraph::build_instrumented(si, config.p_neighbors, config.search, config.weighting, 0)?;
+        let (g, stats) = SpatialGraph::build_instrumented(
+            si,
+            config.p_neighbors,
+            NeighborSearch::KdTree,
+            config.weighting,
+            0,
+        )?;
         sink.span(&SpanEvent { phase: Phase::GraphKnn, wall: stats.knn });
         sink.span(&SpanEvent { phase: Phase::GraphAssembly, wall: stats.assembly });
         Ok(g)
     } else {
-        SpatialGraph::build_weighted(si, config.p_neighbors, config.search, config.weighting)
+        SpatialGraph::build_weighted(
+            si,
+            config.p_neighbors,
+            NeighborSearch::KdTree,
+            config.weighting,
+        )
     }
 }
 

@@ -8,8 +8,8 @@
 //! `Instant::now()` reads — behind `if S::ENABLED`, which const-folds
 //! to nothing for the no-op sink. The disabled path is therefore
 //! bitwise- and allocation-identical to an uninstrumented engine
-//! (asserted by `tests/trace.rs` and the counting-allocator test;
-//! bounded by `benches/trace_overhead.rs`).
+//! (asserted by `tests/trace.rs` against the update loop written out by
+//! hand, and by the counting-allocator test).
 //!
 //! Two event kinds stream through a sink while the pipeline runs:
 //!

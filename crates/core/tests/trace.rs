@@ -2,7 +2,8 @@
 //!
 //! 1. observation must not perturb — a fit through [`NoopSink`], a
 //!    [`RecordingSink`], or no sink at all produces bitwise-identical
-//!    factors, history, and report;
+//!    factors, history, and report, and the no-sink fit is bitwise the
+//!    update loop written out by hand with no sink plumbing anywhere;
 //! 2. an enabled trace is complete — every pipeline phase spanned,
 //!    kernel counters populated, one `IterEvent` per loop iteration;
 //! 3. the JSONL sink writes exactly the model's `FitReport::events` —
@@ -17,16 +18,18 @@
 //!    so this runs seeded child processes via the `SMFL_TRACE`
 //!    environment toggle — which exercises that toggle end to end.
 
+use smfl_core::objective::objective_from_fit_term;
 use smfl_core::telemetry::event_parts;
+use smfl_core::updater::{multiplicative_step, UpdateContext};
 use smfl_core::{
     fit, FitEvent, FitPlan, FitReport, FittedModel, JsonlSink, NoopSink, Phase, RecordingSink,
     SmflConfig, SolveOptions, Trace, TraceSink,
 };
 use smfl_datasets::{inject_inf_spike, inject_nan_burst};
-use smfl_linalg::random::uniform_matrix;
-use smfl_linalg::{Mask, Matrix};
+use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
+use smfl_linalg::{Mask, Matrix, ObservedPattern, Workspace};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// Random spatial problem with ~`missing_pct`% of cells hidden.
 fn problem(n: usize, m: usize, seed: u64, missing_pct: u32) -> (Matrix, Mask) {
@@ -44,6 +47,18 @@ fn problem(n: usize, m: usize, seed: u64, missing_pct: u32) -> (Matrix, Mask) {
         omega.set(0, j, true);
     }
     (x, omega)
+}
+
+/// Asserts a child test process succeeded. Its output is captured
+/// rather than inherited so the child's harness lines never interleave
+/// with the parent's; it is shown only when the child failed.
+fn assert_child_passed(child: &Output, what: &str) {
+    assert!(
+        child.status.success(),
+        "{what}\n--- child stdout ---\n{}\n--- child stderr ---\n{}",
+        String::from_utf8_lossy(&child.stdout),
+        String::from_utf8_lossy(&child.stderr),
+    );
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -85,6 +100,50 @@ fn tracing_does_not_perturb_the_fit() {
         assert_eq!(plain.report, other.report);
     }
     assert_eq!(trace.iterations.len(), traced.iterations);
+}
+
+/// The pre-telemetry NMF fit loop, by hand: the engine's seeded init,
+/// then `multiplicative_step` + objective + history push per iteration,
+/// with no sink type parameter anywhere. Returns `(U, V, history)`.
+fn hand_rolled_nmf(x: &Matrix, omega: &Mask, cfg: &SmflConfig) -> (Matrix, Matrix, Vec<f64>) {
+    let (n, m, k) = (x.rows(), x.cols(), cfg.rank);
+    let masked_x = omega.apply(x).unwrap();
+    let pattern = ObservedPattern::compile(x, omega).unwrap();
+    let mut ws = Workspace::new(&pattern, k);
+    let mut u = positive_uniform_matrix(n, k, cfg.seed).scale(1.0 / k as f64);
+    let mut v = positive_uniform_matrix(k, m, cfg.seed.wrapping_add(1));
+    let ctx = UpdateContext {
+        masked_x: &masked_x,
+        omega,
+        pattern: &pattern,
+        graph: None,
+        lambda: 0.0,
+        landmarks: None,
+    };
+    let mut history = Vec::with_capacity(cfg.max_iter);
+    for _ in 0..cfg.max_iter {
+        let fit_term = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
+        let objective = objective_from_fit_term(fit_term, &u, 0.0, None).unwrap();
+        assert!(objective.is_finite());
+        history.push(objective);
+    }
+    (u, v, history)
+}
+
+/// The no-sink `fit` is the uninstrumented loop: every `S::ENABLED`
+/// guard folds away without changing a single operation, on both
+/// kernel paths (70% missing runs the sparse kernels, 10% the dense).
+#[test]
+fn noop_fit_equals_hand_rolled_loop_bitwise() {
+    for missing_pct in [70, 10] {
+        let (x, omega) = problem(300, 60, 17, missing_pct);
+        let cfg = SmflConfig::nmf(6).with_max_iter(20).with_seed(17).with_tol(0.0);
+        let model = fit(&x, &omega, &cfg).unwrap();
+        let (u, v, history) = hand_rolled_nmf(&x, &omega, &cfg);
+        assert_eq!(model.objective_history, history, "missing {missing_pct}%");
+        assert!(model.u.approx_eq(&u, 0.0), "U differs at missing {missing_pct}%");
+        assert!(model.v.approx_eq(&v, 0.0), "V differs at missing {missing_pct}%");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -200,13 +259,13 @@ fn jsonl_events_equal_fit_report() {
     // environment toggle cannot leak into other tests' fits.
     let path = tmp("events_oneshot.jsonl");
     let _ = std::fs::remove_file(&path);
-    let status = Command::new(std::env::current_exe().unwrap())
+    let child = Command::new(std::env::current_exe().unwrap())
         .args(["jsonl_events_child_fit", "--exact", "--test-threads=1"])
         .env("SMFL_TRACE_EVENTS_CHILD", &path)
         .env("SMFL_TRACE", &path)
-        .status()
+        .output()
         .expect("failed to spawn child test process");
-    assert!(status.success(), "one-shot SMFL_TRACE events differ from the report");
+    assert_child_passed(&child, "one-shot SMFL_TRACE events differ from the report");
     let _ = std::fs::remove_file(&path);
 
     // (b) Compile without a sink, then a traced solve: the compile-time
@@ -325,14 +384,14 @@ fn traced_objectives_are_thread_invariant() {
     for threads in ["1", "4"] {
         let path = tmp(&format!("trace_threads_{threads}.jsonl"));
         let _ = std::fs::remove_file(&path);
-        let status = Command::new(&exe)
+        let child = Command::new(&exe)
             .args(["trace_child_fit", "--exact", "--test-threads=1"])
             .env("SMFL_TRACE_CHILD", "1")
             .env("SMFL_THREADS", threads)
             .env("SMFL_TRACE", &path)
-            .status()
+            .output()
             .expect("failed to spawn child test process");
-        assert!(status.success(), "child with SMFL_THREADS={threads} failed");
+        assert_child_passed(&child, &format!("child with SMFL_THREADS={threads} failed"));
 
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("SMFL_TRACE produced no file for {threads} threads: {e}"));

@@ -33,7 +33,7 @@ pub enum NeighborSearch {
     /// KD-tree (`O(N log N)` in low dimension) — the default.
     KdTree,
     /// Brute force (`O(N²L)`, the cost the paper's Proposition 1 quotes);
-    /// kept as the correctness oracle and for the DESIGN.md ablation.
+    /// kept as the correctness oracle the kd-tree graph must equal.
     BruteForce,
 }
 
@@ -55,8 +55,7 @@ pub struct SpatialGraph {
 /// The paper uses [`GraphWeighting::Binary`] (Formula 3); the GNMF
 /// lineage it builds on (Cai et al. [9]) also studies heat-kernel
 /// weights `d_ij = exp(−‖x_i − x_j‖² / (2σ²))`, which downweight the
-/// farthest of the p neighbours — provided as an extension and ablated
-/// in `bench/benches/` (DESIGN.md ablation list).
+/// farthest of the p neighbours — provided as an extension.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GraphWeighting {
     /// `d_ij ∈ {0, 1}` — the paper's Formula 3.
@@ -552,19 +551,24 @@ mod tests {
 
     #[test]
     fn graph_is_invariant_across_thread_counts() {
-        let pts = uniform_matrix(120, 2, 0.0, 1.0, 33);
-        let serial = SpatialGraph::build_with_threads(&pts, 4, NeighborSearch::KdTree, 1).unwrap();
-        for threads in [0usize, 2, 5] {
-            let g =
-                SpatialGraph::build_with_threads(&pts, 4, NeighborSearch::KdTree, threads).unwrap();
-            assert_eq!(g.similarity, serial.similarity);
-            assert_eq!(g.degree, serial.degree);
-            assert_eq!(g.laplacian, serial.laplacian);
+        // 2000 points is above the kd-tree's spawn minimum, so the
+        // multi-threaded builds there actually fork.
+        for n in [120, 2000] {
+            let pts = uniform_matrix(n, 2, 0.0, 1.0, 33);
+            let serial =
+                SpatialGraph::build_with_threads(&pts, 4, NeighborSearch::KdTree, 1).unwrap();
+            for threads in [0usize, 2, 5] {
+                let g = SpatialGraph::build_with_threads(&pts, 4, NeighborSearch::KdTree, threads)
+                    .unwrap();
+                assert_eq!(g.similarity, serial.similarity, "n={n}, threads={threads}");
+                assert_eq!(g.degree, serial.degree, "n={n}, threads={threads}");
+                assert_eq!(g.laplacian, serial.laplacian, "n={n}, threads={threads}");
+            }
+            // And the oracle path agrees bitwise as well.
+            let oracle = SpatialGraph::build(&pts, 4, NeighborSearch::BruteForce).unwrap();
+            assert_eq!(serial.similarity, oracle.similarity, "n={n}");
+            assert_eq!(serial.laplacian, oracle.laplacian, "n={n}");
         }
-        // And the oracle path agrees bitwise as well.
-        let oracle = SpatialGraph::build(&pts, 4, NeighborSearch::BruteForce).unwrap();
-        assert_eq!(serial.similarity, oracle.similarity);
-        assert_eq!(serial.laplacian, oracle.laplacian);
     }
 
     #[test]
