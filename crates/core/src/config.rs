@@ -57,55 +57,6 @@ pub enum Updater {
     Hals,
 }
 
-/// Fault-tolerance policy for the fit engine (DESIGN.md §10).
-///
-/// Disabled by default: the plain [`crate::fit`] path is bitwise
-/// identical to the engine without any resilience machinery. When
-/// enabled, the fit gains input sanitization, per-iteration health
-/// checks, checkpoint/rollback with bounded deterministic restarts, and
-/// the SMFL → (drop Laplacian) → (drop landmarks) degradation ladder —
-/// every step recorded in the returned `FitReport`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Resilience {
-    /// Master switch. `false` keeps the legacy fail-fast behavior.
-    pub enabled: bool,
-    /// Checkpoint restarts allowed before the engine gives up and
-    /// returns the best iterate with a terminal failure classification.
-    pub max_restarts: usize,
-    /// Relative objective-increase tolerance before an iteration is
-    /// classified `Diverged` (relative to the previous accepted value).
-    pub divergence_tol: f64,
-    /// Iterations without a new best objective before `Stalled` fires
-    /// and the fit stops early at the best iterate. `0` disables stall
-    /// detection.
-    pub stall_patience: usize,
-    /// Mask out unusable observed cells (non-finite anywhere; negative
-    /// under a multiplicative updater) instead of rejecting the input.
-    pub sanitize: bool,
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Resilience {
-            enabled: false,
-            max_restarts: 2,
-            divergence_tol: 1e-6,
-            stall_patience: 0,
-            sanitize: true,
-        }
-    }
-}
-
-impl Resilience {
-    /// The resilient preset: enabled, with the default bounds.
-    pub fn on() -> Self {
-        Resilience {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
-
 /// Full configuration of a model fit.
 #[derive(Debug, Clone)]
 pub struct SmflConfig {
@@ -134,8 +85,14 @@ pub struct SmflConfig {
     /// Edge weighting for the similarity matrix (the paper uses binary
     /// weights; heat-kernel weights are a GNMF-lineage extension).
     pub weighting: GraphWeighting,
-    /// Fault-tolerance policy (disabled by default; see [`Resilience`]).
-    pub resilience: Resilience,
+    /// Fault tolerance (DESIGN.md §10), off by default: the plain
+    /// [`crate::fit`] path is then bitwise identical to the engine
+    /// without any resilience machinery. When on, the fit gains input
+    /// sanitization, per-iteration health checks, checkpoint/rollback
+    /// with bounded deterministic restarts, and the SMFL → (drop
+    /// Laplacian) → (drop landmarks) degradation ladder — every step
+    /// recorded in the returned `FitReport`.
+    pub resilient: bool,
 }
 
 impl SmflConfig {
@@ -153,7 +110,7 @@ impl SmflConfig {
             variant: Variant::Smfl,
             updater: Updater::Multiplicative,
             weighting: GraphWeighting::Binary,
-            resilience: Resilience::default(),
+            resilient: false,
         }
     }
 
@@ -228,16 +185,9 @@ impl SmflConfig {
         self
     }
 
-    /// Overrides the fault-tolerance policy.
-    pub fn with_resilience(mut self, resilience: Resilience) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Enables fault tolerance with the default [`Resilience::on`]
-    /// bounds.
+    /// Enables fault tolerance: sets the `resilient` field.
     pub fn resilient(mut self) -> Self {
-        self.resilience = Resilience::on();
+        self.resilient = true;
         self
     }
 }
@@ -295,17 +245,7 @@ mod tests {
 
     #[test]
     fn resilience_defaults_off_and_preset_on() {
-        let c = SmflConfig::smfl(3, 2);
-        assert!(!c.resilience.enabled, "resilience must be opt-in");
-        assert!(c.resilience.sanitize);
-        assert_eq!(c.resilience.max_restarts, 2);
-        let r = SmflConfig::nmf(3).resilient();
-        assert!(r.resilience.enabled);
-        let custom = SmflConfig::nmf(3).with_resilience(Resilience {
-            stall_patience: 16,
-            ..Resilience::on()
-        });
-        assert!(custom.resilience.enabled);
-        assert_eq!(custom.resilience.stall_patience, 16);
+        assert!(!SmflConfig::smfl(3, 2).resilient, "resilience must be opt-in");
+        assert!(SmflConfig::nmf(3).resilient().resilient);
     }
 }

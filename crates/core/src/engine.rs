@@ -12,16 +12,16 @@
 //! [`crate::resilience`]'s job.
 
 use crate::config::Updater;
-use crate::health::{classify, FitEvent, FitFailure, HealthPolicy};
+use crate::health::{classify, FitEvent, FitFailure};
 use crate::landmarks::Landmarks;
 use crate::model::FittedModel;
 use crate::objective::objective_from_fit_term;
 use crate::plan::{FitPlan, SolveOptions};
-use crate::resilience::{blend_half, derive_seed};
+use crate::resilience::{blend_half, derive_seed, MAX_RESTARTS};
 use crate::telemetry::{IterEvent, Phase, SpanEvent, TraceSink};
 use crate::updater::{gradient_step, multiplicative_step, UpdateContext};
 use smfl_linalg::random::positive_uniform_matrix;
-use smfl_linalg::{LinalgError, Result};
+use smfl_linalg::{LinalgError, Matrix, Result};
 use std::time::Instant;
 
 /// Runs the update loop over `plan`, returning a fitted model. The
@@ -43,7 +43,7 @@ pub(crate) fn solve<S: TraceSink>(
         workspace: ws,
         report: plan_report,
     } = plan;
-    let res = config.resilience;
+    let resilient = config.resilient;
     let (n, m) = masked_x.shape();
     let k = config.rank;
 
@@ -61,22 +61,12 @@ pub(crate) fn solve<S: TraceSink>(
     // start replaces this with the caller's factors.
     let (mut u, mut v) = match &opts.warm {
         Some((wu, wv)) => {
-            let t0 = S::ENABLED.then(Instant::now);
             if wu.shape() != (n, k) || wv.shape() != (k, m) {
                 return Err(LinalgError::DimensionMismatch {
                     left: wu.shape(),
                     right: wv.shape(),
                     op: "warm_start",
                 });
-            }
-            if let Some(index) = first_non_finite(wu).or_else(|| first_non_finite(wv)) {
-                return Err(LinalgError::NonFinite {
-                    op: "warm_start",
-                    index,
-                });
-            }
-            if let Some(t0) = t0 {
-                sink.span(&SpanEvent { phase: Phase::WarmStart, wall: t0.elapsed() });
             }
             (wu.clone(), wv.clone())
         }
@@ -93,6 +83,19 @@ pub(crate) fn solve<S: TraceSink>(
     if let Some(lm) = landmarks.as_ref() {
         lm.inject(&mut v)?;
     }
+    let v_start = landmarks.as_ref().map_or(0, Landmarks::spatial_cols);
+    // A warm start must begin in the feasible region, for every
+    // updater: every entry finite, every live entry nonnegative
+    // (checked after the re-freeze, whose landmark coordinates may be
+    // negative).
+    if opts.warm.is_some() {
+        let t0 = S::ENABLED.then(Instant::now);
+        check_warm_factor(&u, 0)?;
+        check_warm_factor(&v, v_start)?;
+        if let Some(t0) = t0 {
+            sink.span(&SpanEvent { phase: Phase::WarmStart, wall: t0.elapsed() });
+        }
+    }
 
     let ctx = UpdateContext {
         masked_x,
@@ -102,11 +105,6 @@ pub(crate) fn solve<S: TraceSink>(
         lambda: config.lambda,
         landmarks: landmarks.as_ref(),
     };
-    let policy = HealthPolicy {
-        divergence_tol: res.divergence_tol,
-        stall_patience: res.stall_patience,
-    };
-    let v_start = landmarks.as_ref().map_or(0, Landmarks::spatial_cols);
 
     // Algorithm 1 lines 7-9: iterate until convergence or t₁. The
     // resilient engine additionally runs the health sentinel each
@@ -117,8 +115,8 @@ pub(crate) fn solve<S: TraceSink>(
     let mut iterations = 0;
     let mut best_obj = f64::INFINITY;
     let mut prev_accepted: Option<f64> = None;
-    let mut since_best = 0usize;
     let mut restarts = 0usize;
+    let mut failed = false;
     let mut lr_scale = 1.0f64;
     let loop_t0 = S::ENABLED.then(Instant::now);
     for t in 0..config.max_iter {
@@ -135,8 +133,8 @@ pub(crate) fn solve<S: TraceSink>(
         // Health classification: the resilient engine runs the full
         // sentinel exactly as before; the legacy fail-fast path only
         // ever reacted to a non-finite objective.
-        let health = if res.enabled {
-            classify(obj, prev_accepted, &u, &v, since_best, &policy)
+        let health = if resilient {
+            classify(obj, prev_accepted, &u, &v)
         } else if !obj.is_finite() {
             Some(FitFailure::NonFinite)
         } else {
@@ -158,7 +156,7 @@ pub(crate) fn solve<S: TraceSink>(
             });
         }
 
-        if !res.enabled {
+        if !resilient {
             // Legacy fail-fast path, kept bitwise identical.
             if health.is_some() {
                 return Err(LinalgError::NoConvergence {
@@ -167,12 +165,12 @@ pub(crate) fn solve<S: TraceSink>(
                 });
             }
         } else if let Some(failure) = health {
-            if failure == FitFailure::Stalled || restarts >= res.max_restarts {
-                report.failure = Some(failure);
+            if restarts >= MAX_RESTARTS {
+                failed = true;
+                report.events.push(FitEvent::Failed { iteration: t, failure });
                 break;
             }
             restarts += 1;
-            report.restarts = restarts;
             report.events.push(FitEvent::Restarted { iteration: t, failure });
             if matches!(config.updater, Updater::GradientDescent { .. }) {
                 lr_scale *= 0.5;
@@ -201,7 +199,6 @@ pub(crate) fn solve<S: TraceSink>(
                 ws.invalidate();
             }
             prev_accepted = None;
-            since_best = 0;
             continue;
         }
 
@@ -223,17 +220,10 @@ pub(crate) fn solve<S: TraceSink>(
                 }
             }
         }
-        #[cfg(not(debug_assertions))]
-        let _ = v_start;
 
-        if res.enabled {
-            if obj < best_obj {
-                best_obj = obj;
-                since_best = 0;
-                ws.checkpoint(&u, &v);
-            } else {
-                since_best += 1;
-            }
+        if resilient && obj < best_obj {
+            best_obj = obj;
+            ws.checkpoint(&u, &v);
         }
         let improved_enough = prev_accepted
             .is_some_and(|prev| (prev - obj).abs() <= config.tol * prev.abs().max(1.0));
@@ -250,13 +240,11 @@ pub(crate) fn solve<S: TraceSink>(
     // iterate. The checkpoint holds exactly the factors of
     // `min(history)`, so restoring makes the returned model's objective
     // equal the best the trace ever saw.
-    if res.enabled {
+    if resilient {
         let final_obj = history.last().copied().unwrap_or(f64::INFINITY);
         let factors_bad = !u.all_finite() || !v.all_finite();
-        if ws.has_checkpoint() && (report.failure.is_some() || factors_bad || final_obj > best_obj)
-        {
+        if ws.has_checkpoint() && (failed || factors_bad || final_obj > best_obj) {
             if ws.restore(&mut u, &mut v) {
-                report.rolled_back = true;
                 report.events.push(FitEvent::RolledBack { iteration: iterations });
             }
         } else if factors_bad {
@@ -269,10 +257,8 @@ pub(crate) fn solve<S: TraceSink>(
             if let Some(lm) = landmarks.as_ref() {
                 lm.inject(&mut v)?;
             }
-            report.rolled_back = true;
             report.events.push(FitEvent::RolledBack { iteration: iterations });
         }
-        report.record_tail(&history);
     }
 
     if S::ENABLED {
@@ -295,16 +281,21 @@ pub(crate) fn solve<S: TraceSink>(
     })
 }
 
-/// Index of the first non-finite entry, if any — for precise
-/// `NonFinite` diagnostics on warm-start factors.
-fn first_non_finite(m: &smfl_linalg::Matrix) -> Option<(usize, usize)> {
-    let (rows, cols) = m.shape();
+/// Rejects a warm-start factor with a non-finite entry anywhere or a
+/// negative one in a live column (`j >= live_from`), naming the first
+/// offending entry — one pass over the factor.
+fn check_warm_factor(f: &Matrix, live_from: usize) -> Result<()> {
+    let (rows, cols) = f.shape();
     for i in 0..rows {
         for j in 0..cols {
-            if !m.get(i, j).is_finite() {
-                return Some((i, j));
+            let x = f.get(i, j);
+            if !x.is_finite() {
+                return Err(LinalgError::NonFinite { op: "warm_start", index: (i, j) });
+            }
+            if j >= live_from && x < 0.0 {
+                return Err(LinalgError::Negative { op: "warm_start", index: (i, j) });
             }
         }
     }
-    None
+    Ok(())
 }

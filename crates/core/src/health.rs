@@ -9,11 +9,11 @@
 //!   multiplicative rules, HALS and every other division-by-maybe-zero
 //!   site in the optimizers (previously scattered ad-hoc `1e-12`s);
 //! - [`FitFailure`] — the failure taxonomy the per-iteration sentinel
-//!   classifies into (`NonFinite`, `Diverged`, `Stalled`);
+//!   classifies into (`NonFinite`, `Diverged`);
 //! - [`FitEvent`] / [`FitReport`] — the audit trail of every
-//!   sanitization, degradation, restart and rollback step, attached to
-//!   the returned `FittedModel` and deterministic for a given input and
-//!   seed (no wall-clock, no thread-count dependence);
+//!   sanitization, degradation, restart, failure and rollback step,
+//!   attached to the returned `FittedModel` and deterministic for a
+//!   given input and seed (no wall-clock, no thread-count dependence);
 //! - [`classify`] — the sentinel itself: an `O(N·K + K·M)` scan of the
 //!   factors plus checks on the already-computed objective.
 
@@ -28,16 +28,20 @@ use smfl_linalg::Matrix;
 /// update with a non-vanishing denominator.
 pub const DENOM_EPS: f64 = 1e-12;
 
+/// Relative objective-increase tolerance before an iteration is
+/// classified [`FitFailure::Diverged`]. One value serves every updater:
+/// it sits three orders above the `1e-9` slack at which the theorem
+/// suite sees the multiplicative rules' FP noise, and far below any
+/// genuine divergence.
+const DIVERGENCE_TOL: f64 = 1e-6;
+
 /// How a fit iteration failed, as classified by the health sentinel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FitFailure {
     /// A factor entry or the objective became NaN/±Inf.
     NonFinite,
-    /// The objective rose beyond the configured divergence tolerance.
+    /// The objective rose beyond the divergence tolerance.
     Diverged,
-    /// No improvement over the best objective for the configured
-    /// patience window.
-    Stalled,
 }
 
 /// One recorded step of the resilient engine's recovery machinery, in
@@ -82,6 +86,14 @@ pub enum FitEvent {
         /// The classification that triggered the restart.
         failure: FitFailure,
     },
+    /// The update loop hit a classified failure with its restarts used
+    /// up and stopped; the fit returns its best iterate instead.
+    Failed {
+        /// Iteration (0-based) at which the failure was detected.
+        iteration: usize,
+        /// The terminal classification.
+        failure: FitFailure,
+    },
     /// The final factors were rolled back to the best recorded iterate.
     RolledBack {
         /// Number of accepted iterations at rollback time.
@@ -89,35 +101,63 @@ pub enum FitEvent {
     },
 }
 
-/// Audit trail of a resilient fit, attached to `FittedModel::report`.
+/// Audit trail of a fit, attached to `FittedModel::report`: its events,
+/// in order, with every summary computed from them.
 ///
-/// Default (all-empty) for non-resilient fits. Deterministic: the same
-/// input, configuration and seed produce the identical report under any
+/// Empty for non-resilient fits. Deterministic: the same input,
+/// configuration and seed produce the identical report under any
 /// `SMFL_THREADS` setting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FitReport {
-    /// Number of checkpoint restarts performed.
-    pub restarts: usize,
-    /// Every sanitization/degradation/restart/rollback step, in order.
+    /// Every sanitization/degradation/restart/failure/rollback step, in
+    /// order.
     pub events: Vec<FitEvent>,
-    /// Terminal classification when the engine gave up restarting and
-    /// returned the best iterate instead (`None` for a clean fit).
-    pub failure: Option<FitFailure>,
-    /// Observed cells masked out by input sanitization.
-    pub sanitized_cells: usize,
-    /// Coordinate rows modified by de-duplication.
-    pub deduped_rows: usize,
-    /// Whether the returned factors are a rolled-back checkpoint rather
-    /// than the last iterate.
-    pub rolled_back: bool,
-    /// Tail (up to [`TRACE_TAIL`] values) of the objective history.
-    pub trace_tail: Vec<f64>,
 }
 
-/// Length of [`FitReport::trace_tail`].
-pub const TRACE_TAIL: usize = 8;
-
 impl FitReport {
+    /// Number of checkpoint restarts performed.
+    pub fn restarts(&self) -> usize {
+        self.events.iter().filter(|e| matches!(e, FitEvent::Restarted { .. })).count()
+    }
+
+    /// Observed cells masked out by input sanitization (compile and
+    /// every rebind since).
+    pub fn sanitized_cells(&self) -> usize {
+        self.events
+            .iter()
+            .map(|e| match e {
+                FitEvent::Sanitized { cells } => *cells,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Coordinate rows modified by de-duplication.
+    pub fn deduped_rows(&self) -> usize {
+        self.events
+            .iter()
+            .map(|e| match e {
+                FitEvent::CoordinatesDeduped { rows } => *rows,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Whether the returned factors are a rolled-back checkpoint rather
+    /// than the last iterate.
+    pub fn rolled_back(&self) -> bool {
+        self.events.iter().any(|e| matches!(e, FitEvent::RolledBack { .. }))
+    }
+
+    /// Terminal classification when the engine gave up restarting and
+    /// returned the best iterate instead (`None` for a clean fit).
+    pub fn failure(&self) -> Option<FitFailure> {
+        self.events.iter().find_map(|e| match e {
+            FitEvent::Failed { failure, .. } => Some(*failure),
+            _ => None,
+        })
+    }
+
     /// `true` when any degradation-ladder step fired (Laplacian or
     /// landmarks dropped).
     pub fn degraded(&self) -> bool {
@@ -128,23 +168,6 @@ impl FitReport {
             )
         })
     }
-
-    /// Records the trailing objective values (called once at fit end).
-    pub(crate) fn record_tail(&mut self, history: &[f64]) {
-        let start = history.len().saturating_sub(TRACE_TAIL);
-        self.trace_tail = history[start..].to_vec();
-    }
-}
-
-/// Tuning knobs of the health sentinel (mirrors
-/// `crate::config::Resilience`, passed by value to keep this module
-/// free of a config dependency).
-#[derive(Debug, Clone, Copy)]
-pub struct HealthPolicy {
-    /// Relative objective-increase tolerance before `Diverged` fires.
-    pub divergence_tol: f64,
-    /// Iterations without a new best before `Stalled` fires.
-    pub stall_patience: usize,
 }
 
 /// The per-iteration sentinel: classifies the state after one update
@@ -153,66 +176,37 @@ pub struct HealthPolicy {
 /// Cost: one pass over `U` and `V` (`O(N·K + K·M)`) — small next to the
 /// `O(|Ω|·K)` update itself — plus constant-time objective checks. The
 /// objective comparison is against the *previous accepted* value
-/// (`prev`), matching the paper's monotonicity statement; `since_best`
-/// counts iterations since the best objective improved.
-pub fn classify(
-    obj: f64,
-    prev: Option<f64>,
-    u: &Matrix,
-    v: &Matrix,
-    since_best: usize,
-    policy: &HealthPolicy,
-) -> Option<FitFailure> {
+/// (`prev`), matching the paper's monotonicity statement.
+pub fn classify(obj: f64, prev: Option<f64>, u: &Matrix, v: &Matrix) -> Option<FitFailure> {
     if !obj.is_finite() || !u.all_finite() || !v.all_finite() {
         return Some(FitFailure::NonFinite);
     }
-    if let Some(p) = prev {
-        if obj > p + policy.divergence_tol * p.abs().max(1.0) {
-            return Some(FitFailure::Diverged);
-        }
+    match prev {
+        Some(p) if obj > p + DIVERGENCE_TOL * p.abs().max(1.0) => Some(FitFailure::Diverged),
+        _ => None,
     }
-    if policy.stall_patience > 0 && since_best >= policy.stall_patience {
-        return Some(FitFailure::Stalled);
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn policy() -> HealthPolicy {
-        HealthPolicy {
-            divergence_tol: 1e-6,
-            stall_patience: 32,
-        }
-    }
-
     #[test]
     fn healthy_iteration_passes() {
         let u = Matrix::filled(3, 2, 0.5);
         let v = Matrix::filled(2, 4, 0.5);
-        assert_eq!(classify(1.0, Some(2.0), &u, &v, 0, &policy()), None);
-        assert_eq!(classify(1.0, None, &u, &v, 0, &policy()), None);
+        assert_eq!(classify(1.0, Some(2.0), &u, &v), None);
+        assert_eq!(classify(1.0, None, &u, &v), None);
     }
 
     #[test]
     fn non_finite_factors_or_objective_detected() {
         let mut u = Matrix::filled(3, 2, 0.5);
         let v = Matrix::filled(2, 4, 0.5);
-        assert_eq!(
-            classify(f64::NAN, Some(1.0), &u, &v, 0, &policy()),
-            Some(FitFailure::NonFinite)
-        );
-        assert_eq!(
-            classify(f64::INFINITY, None, &u, &v, 0, &policy()),
-            Some(FitFailure::NonFinite)
-        );
+        assert_eq!(classify(f64::NAN, Some(1.0), &u, &v), Some(FitFailure::NonFinite));
+        assert_eq!(classify(f64::INFINITY, None, &u, &v), Some(FitFailure::NonFinite));
         u.set(1, 1, f64::NAN);
-        assert_eq!(
-            classify(1.0, Some(2.0), &u, &v, 0, &policy()),
-            Some(FitFailure::NonFinite)
-        );
+        assert_eq!(classify(1.0, Some(2.0), &u, &v), Some(FitFailure::NonFinite));
     }
 
     #[test]
@@ -220,56 +214,39 @@ mod tests {
         let u = Matrix::filled(2, 2, 0.5);
         let v = Matrix::filled(2, 2, 0.5);
         // Tiny FP rise within tolerance: healthy.
-        assert_eq!(classify(1.0 + 1e-9, Some(1.0), &u, &v, 0, &policy()), None);
+        assert_eq!(classify(1.0 + 1e-9, Some(1.0), &u, &v), None);
         // Clear rise: diverged.
-        assert_eq!(
-            classify(1.5, Some(1.0), &u, &v, 0, &policy()),
-            Some(FitFailure::Diverged)
-        );
+        assert_eq!(classify(1.5, Some(1.0), &u, &v), Some(FitFailure::Diverged));
         // First iteration has no baseline.
-        assert_eq!(classify(1e12, None, &u, &v, 0, &policy()), None);
-    }
-
-    #[test]
-    fn stall_detected_after_patience() {
-        let u = Matrix::filled(2, 2, 0.5);
-        let v = Matrix::filled(2, 2, 0.5);
-        assert_eq!(classify(1.0, Some(1.0), &u, &v, 31, &policy()), None);
-        assert_eq!(
-            classify(1.0, Some(1.0), &u, &v, 32, &policy()),
-            Some(FitFailure::Stalled)
-        );
-        // Patience 0 disables stall detection.
-        let p = HealthPolicy {
-            stall_patience: 0,
-            ..policy()
-        };
-        assert_eq!(classify(1.0, Some(1.0), &u, &v, 1000, &p), None);
+        assert_eq!(classify(1e12, None, &u, &v), None);
     }
 
     #[test]
     fn non_finite_takes_precedence() {
         let u = Matrix::filled(2, 2, f64::INFINITY);
         let v = Matrix::filled(2, 2, 0.5);
-        assert_eq!(
-            classify(2.0, Some(1.0), &u, &v, 100, &policy()),
-            Some(FitFailure::NonFinite)
-        );
+        assert_eq!(classify(2.0, Some(1.0), &u, &v), Some(FitFailure::NonFinite));
     }
 
     #[test]
-    fn report_degraded_and_tail() {
+    fn report_accessors_read_the_events() {
         let mut r = FitReport::default();
-        assert!(!r.degraded());
+        assert!(!r.degraded() && !r.rolled_back());
+        assert_eq!((r.restarts(), r.sanitized_cells(), r.deduped_rows()), (0, 0, 0));
+        assert_eq!(r.failure(), None);
         r.events.push(FitEvent::Sanitized { cells: 3 });
+        r.events.push(FitEvent::CoordinatesDeduped { rows: 5 });
         assert!(!r.degraded());
         r.events.push(FitEvent::LaplacianDropped { reason: "disconnected" });
         assert!(r.degraded());
-        r.record_tail(&[1.0, 2.0, 3.0]);
-        assert_eq!(r.trace_tail, vec![1.0, 2.0, 3.0]);
-        let long: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        r.record_tail(&long);
-        assert_eq!(r.trace_tail.len(), TRACE_TAIL);
-        assert_eq!(r.trace_tail[0], 12.0);
+        // A rebind appends its own sanitization.
+        r.events.push(FitEvent::Sanitized { cells: 2 });
+        r.events.push(FitEvent::Restarted { iteration: 1, failure: FitFailure::Diverged });
+        r.events.push(FitEvent::Restarted { iteration: 4, failure: FitFailure::NonFinite });
+        r.events.push(FitEvent::Failed { iteration: 6, failure: FitFailure::Diverged });
+        r.events.push(FitEvent::RolledBack { iteration: 6 });
+        assert_eq!((r.restarts(), r.sanitized_cells(), r.deduped_rows()), (2, 5, 5));
+        assert_eq!(r.failure(), Some(FitFailure::Diverged));
+        assert!(r.rolled_back());
     }
 }

@@ -55,7 +55,7 @@ mod resilience;
 pub mod telemetry;
 pub mod updater;
 
-pub use config::{Resilience, SmflConfig, Updater, Variant};
+pub use config::{SmflConfig, Updater, Variant};
 pub use health::{FitEvent, FitFailure, FitReport, DENOM_EPS};
 pub use landmarks::Landmarks;
 pub use model::{fit, impute, repair, FittedModel};

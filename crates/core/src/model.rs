@@ -3,7 +3,7 @@
 //! The three paper-facing one-liners — [`fit`], [`impute`] and
 //! [`repair`] — are thin wrappers over the compile/solve split:
 //! [`crate::plan::FitPlan`] materializes the pre-loop artifacts
-//! (sanitize → validate → SI fill → graph → landmarks → pattern +
+//! (input screen → SI fill → graph → landmarks → pattern +
 //! workspace) and [`crate::engine`] runs the update loop over the
 //! borrowed plan — `fit(x, omega, cfg)` is exactly
 //! `FitPlan::compile(x, omega, cfg)?.solve()`, bitwise. Everything
@@ -46,7 +46,7 @@ pub struct FittedModel {
     /// Number of spatial columns `L` the model was fitted with.
     pub spatial_cols: usize,
     /// Fault-tolerance audit trail (empty/default unless the fit ran
-    /// with `config.resilience.enabled`). See [`FitReport`].
+    /// with `config.resilient`). See [`FitReport`].
     pub report: FitReport,
 }
 

@@ -12,8 +12,8 @@
 //!
 //! Each sub-artifact depends on a small key of config fields, which is
 //! what [`PlanCache`] exploits during model selection: landmarks are
-//! keyed on `(K, seed, t₂, resilience)`, the graph on `(p, weighting,
-//! resilience)`, the compiled pattern on the (sanitized) train
+//! keyed on `(K, seed, t₂, resilient)`, the graph on `(p, weighting,
+//! resilient)`, the compiled pattern on the (sanitized) train
 //! mask — all of them additionally on the SI matrix actually fed to
 //! them. `grid_search` over the paper's λ-sweep therefore runs k-means
 //! once per distinct `K` and builds one graph per distinct `p` instead
@@ -95,9 +95,10 @@ pub struct FitPlan {
 
 impl FitPlan {
     /// Compiles a plan for `(x, omega, config)` — the pre-loop phase of
-    /// [`crate::fit`], exactly: sanitization (resilient mode), input
-    /// validation, SI fill, graph construction, landmark k-means, and
-    /// pattern/workspace compilation, in that order.
+    /// [`crate::fit`], exactly: input screening (validation, plus
+    /// sanitization in resilient mode), SI fill, graph construction,
+    /// landmark k-means, and pattern/workspace compilation, in that
+    /// order.
     pub fn compile(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<FitPlan> {
         Self::compile_full(x, omega, config, None, None, &mut NoopSink)
     }
@@ -164,33 +165,20 @@ impl FitPlan {
         sink: &mut S,
     ) -> Result<FitPlan> {
         let compile_t0 = S::ENABLED.then(Instant::now);
-        let res = config.resilience;
+        let resilient = config.resilient;
         let mut report = FitReport::default();
         let mut cache_hits = 0usize;
 
-        // Input sanitization — resilient mode only; the default path
-        // rejects unusable cells in `validate` instead. Always runs
-        // uncached: it is the one stage that reads every observed cell
-        // of the caller's `x`.
-        let sanitized = if res.enabled && res.sanitize {
-            crate::resilience::sanitize_inputs(
-                x,
-                omega,
-                matches!(config.updater, Updater::Multiplicative),
-            )
-        } else {
-            None
-        };
+        // Input screening always runs uncached: it is the one stage
+        // that reads every observed cell of the caller's `x`.
+        let sanitized = screen(x, omega, config)?;
         let (x, omega) = match &sanitized {
             Some((cx, co, removed)) => {
-                report.sanitized_cells = *removed;
                 report.events.push(FitEvent::Sanitized { cells: *removed });
                 (cx, co)
             }
             None => (x, omega),
         };
-
-        validate(x, omega, config)?;
         let (n, _m) = x.shape();
         let k = config.rank;
         let l = config.spatial_cols;
@@ -227,7 +215,7 @@ impl FitPlan {
             let key = GraphKey {
                 p: config.p_neighbors,
                 weighting: config.weighting,
-                resilient: res.enabled,
+                resilient,
             };
             match cache.as_deref_mut().and_then(|c| c.lookup_graph(&key)) {
                 Some(entry) => {
@@ -238,7 +226,7 @@ impl FitPlan {
                 None => {
                     let t0 = S::ENABLED.then(Instant::now);
                     let ev_start = report.events.len();
-                    let graph = if res.enabled {
+                    let graph = if resilient {
                         graph_resilient(si, n, config, &mut report, sink)
                     } else {
                         Some(build_graph_traced(si, config, sink)?)
@@ -277,22 +265,18 @@ impl FitPlan {
                     k,
                     seed: config.seed,
                     kmeans_max_iter: config.kmeans_max_iter,
-                    resilient: res.enabled,
-                    max_restarts: res.max_restarts,
+                    resilient,
                 };
                 match cache.as_deref_mut().and_then(|c| c.lookup_landmarks(&key)) {
                     Some(entry) => {
                         cache_hits += 1;
-                        if entry.deduped_rows > 0 {
-                            report.deduped_rows = entry.deduped_rows;
-                        }
                         report.events.extend(entry.events);
                         entry.landmarks
                     }
                     None => {
                         let t0 = S::ENABLED.then(Instant::now);
                         let ev_start = report.events.len();
-                        let lm = if res.enabled {
+                        let lm = if resilient {
                             landmarks_resilient(si, k, config, &mut report)
                         } else {
                             Some(Landmarks::compute(si, k, config.kmeans_max_iter, config.seed)?)
@@ -306,7 +290,6 @@ impl FitPlan {
                                 LmEntry {
                                     landmarks: lm.clone(),
                                     events: report.events[ev_start..].to_vec(),
-                                    deduped_rows: report.deduped_rows,
                                 },
                             );
                         }
@@ -386,8 +369,8 @@ impl FitPlan {
     }
 
     /// Rebinds the plan to new data of the **same shape** — the serving
-    /// refit path. The new inputs go through the same sanitization and
-    /// validation as a compile; graph and landmarks are kept as-is
+    /// refit path. The new inputs go through the same screening as a
+    /// compile; graph and landmarks are kept as-is
     /// (they depend on the SI columns, which serving refits leave
     /// alone — recompile if yours change). When the (sanitized) mask
     /// equals the plan's, the compiled pattern and masked data are
@@ -395,21 +378,11 @@ impl FitPlan {
     /// buffers are unshared; a changed mask recompiles the pattern and
     /// resizes the workspace.
     pub fn rebind(&mut self, x: &Matrix, omega: &Mask) -> Result<()> {
-        let res = self.config.resilience;
-        let sanitized = if res.enabled && res.sanitize {
-            crate::resilience::sanitize_inputs(
-                x,
-                omega,
-                matches!(self.config.updater, Updater::Multiplicative),
-            )
-        } else {
-            None
-        };
+        let sanitized = screen(x, omega, &self.config)?;
         let (x, omega, removed) = match &sanitized {
             Some((cx, co, removed)) => (cx, co, *removed),
             None => (x, omega, 0),
         };
-        validate(x, omega, &self.config)?;
         if x.shape() != self.shape() {
             return Err(LinalgError::DimensionMismatch {
                 left: x.shape(),
@@ -419,7 +392,6 @@ impl FitPlan {
         }
         if removed > 0 {
             // Appended (not replacing) — the report is an audit trail.
-            self.report.sanitized_cells += removed;
             self.report.events.push(FitEvent::Sanitized { cells: removed });
         }
         if *omega == self.omega {
@@ -470,14 +442,12 @@ struct LmKey {
     seed: u64,
     kmeans_max_iter: usize,
     resilient: bool,
-    max_restarts: usize,
 }
 
 #[derive(Debug, Clone)]
 struct LmEntry {
     landmarks: Option<Landmarks>,
     events: Vec<FitEvent>,
-    deduped_rows: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -520,8 +490,8 @@ pub struct PlanCacheStats {
 /// similarity graphs and compiled patterns across candidates and
 /// folds.
 ///
-/// Keying: landmarks on `(K, seed, t₂, resilience)`, graphs on `(p,
-/// weighting, resilience)`, patterns on the sanitized mask —
+/// Keying: landmarks on `(K, seed, t₂, resilient)`, graphs on `(p,
+/// weighting, resilient)`, patterns on the sanitized mask —
 /// each entry implicitly also on the SI matrix it was built from (a
 /// compile presenting a different SI flushes the landmark and graph
 /// entries). **One cache serves one data matrix `x`**: the cache
@@ -619,9 +589,20 @@ impl PlanCache {
     }
 }
 
-/// Input validation shared by every compile path (historically the
-/// `validate` of `model.rs`).
-pub(crate) fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<()> {
+/// The screened inputs of a resilient compile or rebind that had to
+/// mask cells out: the repaired data and mask, and the number of cells
+/// removed.
+type Sanitized = (Matrix, Mask, usize);
+
+/// Screens the inputs of every compile and rebind: the shape, rank and
+/// SI-width checks, then one pass over the observed cells. Non-finite
+/// values are never usable (they poison every inner product); negative
+/// values break the multiplicative rules' nonnegativity invariant.
+/// Strict mode rejects the first such cell with a typed error and
+/// allocates nothing. Resilient mode masks every such cell out of `Ω`
+/// and zeroes it instead, copying the inputs at the first one, so
+/// `Ok(None)` means the inputs are clean and uncopied.
+fn screen(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<Option<Sanitized>> {
     if x.shape() != omega.shape() {
         return Err(LinalgError::DimensionMismatch {
             left: x.shape(),
@@ -648,28 +629,27 @@ pub(crate) fn validate(x: &Matrix, omega: &Mask, config: &SmflConfig) -> Result<
             shape: (n, m),
         });
     }
-    // One pass over the observed cells: non-finite values are never
-    // usable (they poison every inner product); negative values break
-    // the multiplicative rules' nonnegativity invariant. In resilient
-    // mode with sanitization these cells were masked out before
-    // validation, so this check only fires on the fail-fast path.
     let multiplicative = matches!(config.updater, Updater::Multiplicative);
+    let mut sanitized: Option<Sanitized> = None;
     for (i, j) in omega.iter_set() {
         let v = x.get(i, j);
-        if !v.is_finite() {
-            return Err(LinalgError::NonFinite {
-                op: "fit",
-                index: (i, j),
+        if v.is_finite() && !(multiplicative && v < 0.0) {
+            continue;
+        }
+        if !config.resilient {
+            let index = (i, j);
+            return Err(if v.is_finite() {
+                LinalgError::Negative { op: "fit", index }
+            } else {
+                LinalgError::NonFinite { op: "fit", index }
             });
         }
-        if multiplicative && v < 0.0 {
-            return Err(LinalgError::Negative {
-                op: "fit",
-                index: (i, j),
-            });
-        }
+        let (cx, co, removed) = sanitized.get_or_insert_with(|| (x.clone(), omega.clone(), 0));
+        co.set(i, j, false);
+        cx.set(i, j, 0.0);
+        *removed += 1;
     }
-    Ok(())
+    Ok(sanitized)
 }
 
 #[cfg(test)]
@@ -691,6 +671,71 @@ mod tests {
             }
         }
         omega
+    }
+
+    #[test]
+    fn screen_rejects_first_bad_cell_when_strict() {
+        let cfg = SmflConfig::nmf(2);
+        let mut x = spatial_data(10, 4, 20);
+        let omega = Mask::full(10, 4);
+        x.set(2, 1, -0.5);
+        x.set(3, 0, f64::NEG_INFINITY);
+        x.set(6, 2, f64::NAN);
+        // Multiplicative: the negative cell comes first.
+        let err = screen(&x, &omega, &cfg).unwrap_err();
+        assert_eq!(err, LinalgError::Negative { op: "fit", index: (2, 1) });
+        // Gradient descent accepts negatives; -inf is non-finite first.
+        let gd = cfg.clone().with_gradient_descent(1e-3);
+        let err = screen(&x, &omega, &gd).unwrap_err();
+        assert_eq!(err, LinalgError::NonFinite { op: "fit", index: (3, 0) });
+        let err = screen(&x, &Mask::full(10, 5), &cfg).unwrap_err();
+        assert!(matches!(err, LinalgError::DimensionMismatch { op: "fit", .. }));
+    }
+
+    #[test]
+    fn screen_masks_and_zeroes_bad_cells_when_resilient() {
+        let cfg = SmflConfig::nmf(2).resilient();
+        let mut x = spatial_data(10, 4, 20);
+        let omega = Mask::full(10, 4);
+        for (i, j, v) in [(2, 1, -0.5), (3, 0, f64::NEG_INFINITY), (6, 2, f64::NAN)] {
+            x.set(i, j, v);
+        }
+        let (cx, co, removed) = screen(&x, &omega, &cfg).unwrap().unwrap();
+        assert_eq!(removed, 3);
+        for (i, j) in [(2, 1), (3, 0), (6, 2)] {
+            assert!(!co.get(i, j));
+            assert_eq!(cx.get(i, j), 0.0);
+        }
+        assert_eq!(co.count(), 40 - 3);
+        // Gradient descent keeps the negative cell.
+        let gd = cfg.with_gradient_descent(1e-3);
+        let (_, co, removed) = screen(&x, &omega, &gd).unwrap().unwrap();
+        assert_eq!(removed, 2);
+        assert!(co.get(2, 1));
+    }
+
+    #[test]
+    fn screen_ignores_unobserved_cells() {
+        let mut x = spatial_data(10, 4, 20);
+        let mut omega = Mask::full(10, 4);
+        x.set(5, 3, f64::NAN);
+        x.set(7, 2, -1.0);
+        omega.set(5, 3, false);
+        omega.set(7, 2, false);
+        for cfg in [SmflConfig::nmf(2), SmflConfig::nmf(2).resilient()] {
+            assert!(screen(&x, &omega, &cfg).unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn screen_leaves_clean_inputs_uncopied() {
+        let x = spatial_data(10, 4, 20);
+        let omega = drop_cells(10, 4, 3);
+        for cfg in [SmflConfig::smfl(3, 2), SmflConfig::smfl(3, 2).resilient()] {
+            assert!(screen(&x, &omega, &cfg).unwrap().is_none());
+        }
+        let plan = FitPlan::compile(&x, &omega, &SmflConfig::smfl(3, 2).resilient()).unwrap();
+        assert_eq!(plan.report().sanitized_cells(), 0);
     }
 
     #[test]
@@ -763,6 +808,38 @@ mod tests {
             FitPlan::compile(&x, &omega, &SmflConfig::nmf(4).with_max_iter(10)).unwrap();
         let err = plan.solve_with(&SolveOptions::warm_from(&model)).unwrap_err();
         assert!(matches!(err, LinalgError::DimensionMismatch { op: "warm_start", .. }));
+    }
+
+    #[test]
+    fn warm_start_rejects_negative_factors() {
+        let x = spatial_data(20, 5, 24);
+        let omega = Mask::full(20, 5);
+        for cfg in [
+            SmflConfig::nmf(3),
+            SmflConfig::nmf(3).with_gradient_descent(1e-3),
+            SmflConfig::nmf(3).with_hals(),
+            SmflConfig::smfl(3, 2),
+        ] {
+            let cfg = cfg.with_max_iter(10);
+            let mut plan = FitPlan::compile(&x, &omega, &cfg).unwrap();
+            let model = plan.solve().unwrap();
+            let mut u = model.u.clone();
+            u.set(4, 1, -0.25);
+            let err = plan
+                .solve_with(&SolveOptions::warm_factors(u, model.v.clone()))
+                .unwrap_err();
+            assert_eq!(err, LinalgError::Negative { op: "warm_start", index: (4, 1) });
+            // A live column of V is checked too; a frozen landmark
+            // column is overwritten by the re-freeze, so it is not.
+            let mut v = model.v.clone();
+            v.set(2, 4, -1.0);
+            v.set(0, 0, -1.0);
+            let err = plan
+                .solve_with(&SolveOptions::warm_factors(model.u.clone(), v))
+                .unwrap_err();
+            let expected = if cfg.variant.uses_landmarks() { (2, 4) } else { (0, 0) };
+            assert_eq!(err, LinalgError::Negative { op: "warm_start", index: expected });
+        }
     }
 
     #[test]

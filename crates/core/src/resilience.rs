@@ -2,7 +2,7 @@
 //! engine (DESIGN.md §10), applied at *compile* time.
 //!
 //! Every rung mutates the [`crate::plan::FitPlan`] under construction —
-//! sanitizing inputs, de-duplicating coordinates, re-seeding landmark
+//! de-duplicating coordinates, re-seeding landmark
 //! k-means, dropping the Laplacian or the landmarks — and records what
 //! it did in the plan's [`FitReport`], so the solve loop
 //! ([`crate::engine`]) only ever sees a usable plan. The in-loop
@@ -14,39 +14,20 @@ use crate::config::SmflConfig;
 use crate::health::{FitEvent, FitReport};
 use crate::landmarks::Landmarks;
 use crate::telemetry::{Phase, SpanEvent, TraceSink};
-use smfl_linalg::{Mask, Matrix, Result};
+use smfl_linalg::{Matrix, Result};
 use smfl_spatial::{dedupe_coordinates, NeighborSearch, SpatialGraph};
+
+/// Restarts (in the update loop) and landmark retries (at compile
+/// time) allowed before the engine gives up on a stage. No caller has
+/// ever needed another bound: two cover the recoveries the suites
+/// exercise (a GD step quartered; one dedupe + re-seed of collapsed
+/// k-means centres) and keep the extra cost of a hopeless fit small.
+pub(crate) const MAX_RESTARTS: usize = 2;
 
 /// Deterministic seed derivation for retries — `salt = 0` returns the
 /// base seed unchanged so the clean path is bitwise-stable.
 pub(crate) fn derive_seed(seed: u64, salt: u64) -> u64 {
     seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Masks out observed cells the optimizers cannot digest: non-finite
-/// values always, negative values under a multiplicative updater.
-/// Returns `None` when the input is already clean (no clone made) or
-/// when the shapes mismatch (validation reports that instead).
-pub(crate) fn sanitize_inputs(
-    x: &Matrix,
-    omega: &Mask,
-    multiplicative: bool,
-) -> Option<(Matrix, Mask, usize)> {
-    if x.shape() != omega.shape() {
-        return None;
-    }
-    let mut cleaned: Option<(Matrix, Mask)> = None;
-    let mut removed = 0usize;
-    for (i, j) in omega.iter_set() {
-        let v = x.get(i, j);
-        if !v.is_finite() || (multiplicative && v < 0.0) {
-            let (cx, co) = cleaned.get_or_insert_with(|| (x.clone(), omega.clone()));
-            co.set(i, j, false);
-            cx.set(i, j, 0.0);
-            removed += 1;
-        }
-    }
-    cleaned.map(|(cx, co)| (cx, co, removed))
 }
 
 /// `true` when the landmark matrix is usable: all-finite with pairwise
@@ -70,7 +51,7 @@ pub(crate) fn landmarks_healthy(lm: &Landmarks) -> bool {
 /// Landmark generation with the bounded deterministic retry policy:
 /// attempt 0 is bitwise-identical to the non-resilient path; on a
 /// degenerate result the coordinates are de-duplicated (jitter-free)
-/// and k-means re-seeded, up to `max_restarts` times; then landmarks
+/// and k-means re-seeded, up to [`MAX_RESTARTS`] times; then landmarks
 /// are dropped (the last rung of the ladder before plain NMF).
 pub(crate) fn landmarks_resilient(
     si: &Matrix,
@@ -78,9 +59,8 @@ pub(crate) fn landmarks_resilient(
     config: &SmflConfig,
     report: &mut FitReport,
 ) -> Option<Landmarks> {
-    let max_attempts = config.resilience.max_restarts;
     let mut si_work: Option<Matrix> = None;
-    for attempt in 0..=max_attempts {
+    for attempt in 0..=MAX_RESTARTS {
         let src = si_work.as_ref().unwrap_or(si);
         let seed = derive_seed(config.seed, attempt as u64);
         if let Ok(lm) = Landmarks::compute(src, k, config.kmeans_max_iter, seed) {
@@ -88,14 +68,13 @@ pub(crate) fn landmarks_resilient(
                 return Some(lm);
             }
         }
-        if attempt == max_attempts {
+        if attempt == MAX_RESTARTS {
             break;
         }
         if si_work.is_none() {
             let mut copy = si.clone();
             let rows = dedupe_coordinates(&mut copy);
             if rows > 0 {
-                report.deduped_rows = rows;
                 report.events.push(FitEvent::CoordinatesDeduped { rows });
             }
             si_work = Some(copy);
@@ -177,7 +156,7 @@ pub(crate) fn blend_half(dst: &mut Matrix, fresh: &Matrix) {
 mod tests {
     use super::*;
     use crate::config::SmflConfig;
-    use crate::health::{FitFailure, FitReport};
+    use crate::health::FitReport;
     use crate::model::fit;
     use smfl_linalg::Mask;
 
@@ -211,10 +190,9 @@ mod tests {
         let resilient = fit(&x, &omega, &cfg.clone().resilient()).unwrap();
         assert!(plain.u.approx_eq(&resilient.u, 1e-9));
         assert!(plain.v.approx_eq(&resilient.v, 1e-9));
-        assert_eq!(resilient.report.restarts, 0);
-        assert!(resilient.report.failure.is_none());
+        assert_eq!(resilient.report.restarts(), 0);
+        assert!(resilient.report.failure().is_none());
         assert!(resilient.report.events.is_empty(), "{:?}", resilient.report.events);
-        assert!(!resilient.report.trace_tail.is_empty());
         // The default path carries an empty report.
         assert_eq!(plain.report, FitReport::default());
     }
@@ -232,7 +210,7 @@ mod tests {
             .resilient();
         let model = fit(&x, &omega, &cfg).unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
-        assert!(model.report.restarts >= 1, "{:?}", model.report);
+        assert!(model.report.restarts() >= 1, "{:?}", model.report);
         assert!(model
             .report
             .events
@@ -265,37 +243,13 @@ mod tests {
         let model =
             fit(&x, &omega, &SmflConfig::smfl(3, 2).with_max_iter(30).resilient()).unwrap();
         assert!(model.u.all_finite() && model.v.all_finite());
-        assert_eq!(model.report.sanitized_cells, 3);
+        assert_eq!(model.report.sanitized_cells(), 3);
         assert!(model
             .report
             .events
             .iter()
             .any(|e| matches!(e, FitEvent::Sanitized { cells: 3 })));
-        assert!(model.report.failure.is_none());
-    }
-
-    #[test]
-    fn resilient_stall_detection_stops_early() {
-        // All-zero data reaches its fixed point immediately; with a
-        // negative tol the legacy criterion never fires, so the stall
-        // detector is what ends the loop.
-        let x = Matrix::zeros(12, 4);
-        let omega = Mask::full(12, 4);
-        let cfg = SmflConfig::nmf(2)
-            .with_max_iter(200)
-            .with_tol(-1.0)
-            .with_resilience(crate::config::Resilience {
-                stall_patience: 4,
-                ..crate::config::Resilience::on()
-            });
-        let model = fit(&x, &omega, &cfg).unwrap();
-        assert_eq!(model.report.failure, Some(FitFailure::Stalled));
-        assert!(
-            model.iterations < 20,
-            "stall should stop early, ran {}",
-            model.iterations
-        );
-        assert!(model.u.all_finite() && model.v.all_finite());
+        assert!(model.report.failure().is_none());
     }
 
     #[test]
@@ -355,7 +309,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, FitEvent::LandmarksRetried { .. })));
-        assert!(model.report.deduped_rows > 0);
+        assert!(model.report.deduped_rows() > 0);
         // The surviving landmark rows are pairwise distinct.
         let lm = &model.landmarks.as_ref().unwrap().centers;
         for a in 0..lm.rows() {

@@ -307,7 +307,6 @@ fn failure_name(f: FitFailure) -> &'static str {
     match f {
         FitFailure::NonFinite => "non_finite",
         FitFailure::Diverged => "diverged",
-        FitFailure::Stalled => "stalled",
     }
 }
 
@@ -322,6 +321,10 @@ pub fn event_parts(e: &FitEvent) -> (&'static str, String) {
         FitEvent::LandmarksDropped { reason } => ("landmarks_dropped", (*reason).to_string()),
         FitEvent::Restarted { iteration, failure } => (
             "restarted",
+            format!("iteration={iteration} failure={}", failure_name(*failure)),
+        ),
+        FitEvent::Failed { iteration, failure } => (
+            "failed",
             format!("iteration={iteration} failure={}", failure_name(*failure)),
         ),
         FitEvent::RolledBack { iteration } => ("rolled_back", format!("iteration={iteration}")),
@@ -484,6 +487,7 @@ mod tests {
             FitEvent::LandmarksRetried { attempt: 1 },
             FitEvent::LandmarksDropped { reason: "r" },
             FitEvent::Restarted { iteration: 3, failure: FitFailure::Diverged },
+            FitEvent::Failed { iteration: 4, failure: FitFailure::NonFinite },
             FitEvent::RolledBack { iteration: 4 },
         ];
         let names: Vec<&str> = cases.iter().map(|e| event_parts(e).0).collect();

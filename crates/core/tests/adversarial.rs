@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use smfl_core::{fit, repair, FitEvent, SmflConfig};
-use smfl_datasets::{inject_duplicate_si, inject_inf_spike, inject_nan_burst};
+use smfl_datasets::{
+    inject_constant_column, inject_duplicate_si, inject_inf_spike, inject_nan_burst,
+};
 use smfl_linalg::random::uniform_matrix;
 use smfl_linalg::{Mask, Matrix};
 
@@ -15,7 +17,7 @@ fn assert_model_sane(model: &smfl_core::FittedModel) {
     assert!(model.u.all_finite(), "U contains non-finite entries");
     assert!(model.v.all_finite(), "V contains non-finite entries");
     assert!(model.u.is_nonnegative(0.0), "U went negative");
-    for &obj in &model.report.trace_tail {
+    for &obj in &model.objective_history {
         assert!(!obj.is_nan(), "objective trace recorded NaN");
     }
 }
@@ -56,7 +58,7 @@ proptest! {
         // injectors may have poisoned every observation of a column.
         if let Ok(model) = fit(&x, &omega, &config.resilient()) {
             assert_model_sane(&model);
-            prop_assert!(model.report.sanitized_cells > 0);
+            prop_assert!(model.report.sanitized_cells() > 0);
             prop_assert!(model
                 .report
                 .events
@@ -67,16 +69,20 @@ proptest! {
 
     // Duplicated spatial coordinates stress the landmark ladder: k-means
     // on collapsed SI yields duplicate centres, which must trigger the
-    // dedupe-and-retry rung (or drop landmarks), never a panic.
+    // dedupe-and-retry rung (or drop landmarks), never a panic. A
+    // constant (zero-variance) attribute column rides along.
     #[test]
     fn duplicated_coordinates_never_panic(
         n in 12usize..28,
         rate in 0.3f64..1.0,
+        constant_col in 2usize..5,
+        constant in 0.0f64..1.0,
         seed in 0u64..2000,
     ) {
         let m = 5;
         let mut x = uniform_matrix(n, m, 0.0, 1.0, seed);
         inject_duplicate_si(&mut x, 2, rate, seed ^ 3);
+        prop_assert_eq!(inject_constant_column(&mut x, constant_col, constant), n);
         let omega = Mask::full(n, m);
         let config = SmflConfig::smfl(3, 2).with_max_iter(15).with_seed(seed).resilient();
         if let Ok(model) = fit(&x, &omega, &config) {
@@ -174,7 +180,7 @@ fn combined_fault_storm_is_survivable_and_deterministic() {
     let a = run();
     let b = run();
     assert_model_sane(&a);
-    assert!(a.report.sanitized_cells > 0, "sanitizer saw no cells: {:?}", a.report);
+    assert!(a.report.sanitized_cells() > 0, "sanitizer saw no cells: {:?}", a.report);
     assert!(
         a.report.events.iter().any(|e| matches!(e, FitEvent::Sanitized { .. })),
         "no Sanitized event: {:?}",

@@ -20,8 +20,8 @@
 
 use proptest::prelude::*;
 use smfl_core::{
-    fit, grid_search, grid_search_uncached, FitPlan, ParamGrid, Phase, RecordingSink, SmflConfig,
-    SolveOptions, Variant,
+    fit, grid_search, grid_search_uncached, FitEvent, FitPlan, ParamGrid, Phase, PlanCache,
+    RecordingSink, SmflConfig, SolveOptions, Variant,
 };
 use smfl_datasets::inject::{inject_inf_spike, inject_nan_burst};
 use smfl_linalg::random::uniform_matrix;
@@ -209,6 +209,43 @@ fn cached_grid_search_ranking_equals_naive() {
     assert_eq!(stats.pattern_compiles, 2, "{stats:?}"); // one per fold
     assert!(stats.landmark_hits + stats.kmeans_runs >= candidates);
     assert_eq!(stats.si_resets, 0, "holdouts must not disturb the SI");
+}
+
+/// A cache entry replays the ladder events its build recorded: on a
+/// table whose coordinates collapse onto two points, each shared by
+/// half the rows, the kNN graph is disconnected (`LaplacianDropped`)
+/// and the landmark k-means for K = 5 degenerates until a dedupe and
+/// re-seed repair it (`CoordinatesDeduped`, `LandmarksRetried`). A resilient cached
+/// compile, as a miss and then as a hit, must equal a fresh one.
+#[test]
+fn cached_compile_replays_ladder_events() {
+    let n = 20;
+    let x = Matrix::from_fn(n, 5, |i, j| match j {
+        0 | 1 if i < n / 2 => 0.1,
+        0 | 1 => 0.9,
+        _ => 0.2 + 0.02 * ((i * 7 + j) % 11) as f64,
+    });
+    let omega = Mask::full(n, 5);
+    let cfg = SmflConfig::smfl(5, 2).with_p(1).with_max_iter(25).with_seed(3).resilient();
+    let fresh = FitPlan::compile(&x, &omega, &cfg).unwrap().solve().unwrap();
+    let events = &fresh.report.events;
+    assert!(fresh.report.degraded(), "{events:?}");
+    assert!(fresh.report.deduped_rows() > 0, "{events:?}");
+    assert!(events.iter().any(|e| matches!(e, FitEvent::LandmarksRetried { .. })), "{events:?}");
+
+    let mut cache = PlanCache::new();
+    for pass in ["miss", "hit"] {
+        let cached =
+            FitPlan::compile_cached(&x, &omega, &cfg, &mut cache).unwrap().solve().unwrap();
+        assert_eq!(cached.report, fresh.report, "{pass}");
+        assert!(cached.u.approx_eq(&fresh.u, 0.0), "{pass}: U differs");
+        assert!(cached.v.approx_eq(&fresh.v, 0.0), "{pass}: V differs");
+        assert_eq!(cached.objective_history, fresh.objective_history, "{pass}");
+        assert_eq!(cached.landmarks.is_some(), fresh.landmarks.is_some(), "{pass}");
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.kmeans_runs, stats.landmark_hits), (1, 1), "{stats:?}");
+    assert_eq!((stats.graph_builds, stats.graph_hits), (1, 1), "{stats:?}");
 }
 
 /// Warm starts are an accelerator, not a different model: a warm refit

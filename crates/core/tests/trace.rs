@@ -9,7 +9,8 @@
 //! 3. the JSONL sink writes exactly the model's `FitReport::events` —
 //!    the one event store — whether the fit is one-shot under
 //!    `SMFL_TRACE`, a compile without a sink followed by a traced
-//!    solve, or a sanitizing `rebind` followed by a traced solve; and
+//!    solve, a sanitizing `rebind` followed by a traced solve, or a
+//!    solve that uses up its restarts and ends in a `failed` event; and
 //!    under a restart ladder the accepted iterations equal the history;
 //! 4. the JSONL sink emits one well-formed object per line;
 //! 5. the golden thread-invariance property (PR 2) holds for the traced
@@ -271,26 +272,43 @@ fn jsonl_events_equal_fit_report() {
     // (b) Compile without a sink, then a traced solve: the compile-time
     // events reach the sink through the solve's report.
     let mut plan = FitPlan::compile(&storm(99), &omega, &cfg).unwrap();
-    assert_solve_events_match(&mut plan, "events_split.jsonl");
+    assert_sanitized(&assert_solve_events_match(&mut plan, "events_split.jsonl"));
 
     // (c) A sanitizing rebind, then a traced solve: the rebind's event
     // is on the report and therefore in the trace.
     let clean = uniform_matrix(30, 6, 0.1, 1.0, 98);
     let mut plan = FitPlan::compile(&clean, &omega, &cfg).unwrap();
     plan.rebind(&storm(98), &omega).unwrap();
-    assert_solve_events_match(&mut plan, "events_rebind.jsonl");
+    assert_sanitized(&assert_solve_events_match(&mut plan, "events_rebind.jsonl"));
+
+    // (d) Divergent gradient descent that uses up its restarts: the
+    // terminal failure is an event, so the trace carries it too.
+    let (x, omega) = problem(30, 6, 5, 15);
+    let gd = SmflConfig::nmf(3)
+        .with_gradient_descent(6.0)
+        .with_max_iter(40)
+        .with_seed(7)
+        .resilient();
+    let mut plan = FitPlan::compile(&x, &omega, &gd).unwrap();
+    let model = assert_solve_events_match(&mut plan, "events_failed.jsonl");
+    assert!(model.report.failure().is_some(), "{:?}", model.report.events);
+    assert!(
+        report_events(&model.report).iter().any(|(name, _)| name == "failed"),
+        "no failed event: {:?}",
+        model.report.events
+    );
 }
 
-/// Solves `plan` into a fresh JSONL file and asserts its event lines
-/// are the returned model's report events, sanitization included.
-fn assert_solve_events_match(plan: &mut FitPlan, name: &str) {
+/// Solves `plan` into a fresh JSONL file, asserts its event lines are
+/// the returned model's report events, and returns the model.
+fn assert_solve_events_match(plan: &mut FitPlan, name: &str) -> FittedModel {
     let path = tmp(name);
     let mut sink = JsonlSink::create(&path).unwrap();
     let model = plan.solve_with_sink(&SolveOptions::new(), &mut sink).unwrap();
     drop(sink);
-    assert_sanitized(&model);
     assert_eq!(jsonl_events(&path), report_events(&model.report));
     let _ = std::fs::remove_file(&path);
+    model
 }
 
 /// Under a restart ladder (divergent gradient descent with the health
@@ -312,7 +330,7 @@ fn restart_ladder_trace_matches_history() {
         else {
             continue;
         };
-        if model.report.restarts > 0 {
+        if model.report.restarts() > 0 {
             let trace = sink.trace();
             assert!(trace.iterations.iter().any(|e| !e.accepted), "lr={lr}");
             let accepted: Vec<f64> = trace.accepted_objectives().collect();

@@ -55,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-use smfl_core::health::{classify, HealthPolicy};
+use smfl_core::health::classify;
 use smfl_core::telemetry::{IterEvent, NoopSink, RecordingSink, TraceSink};
 use smfl_core::updater::{multiplicative_step, UpdateContext};
 use smfl_linalg::random::{positive_uniform_matrix, uniform_matrix};
@@ -125,12 +125,11 @@ fn multiplicative_step_allocates_nothing_after_warmup() {
 
     // Steady state mirrors the resilient fit loop: update, health scan,
     // checkpoint. All three must be allocation-free.
-    let policy = HealthPolicy { divergence_tol: 1e-6, stall_patience: 0 };
     let mut prev = None;
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..10 {
         let fit = multiplicative_step(&ctx, &mut ws, &mut u, &mut v).unwrap();
-        assert!(classify(fit, prev, &u, &v, 0, &policy).is_none());
+        assert!(classify(fit, prev, &u, &v).is_none());
         prev = Some(fit);
         ws.checkpoint(&u, &v);
     }

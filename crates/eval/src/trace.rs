@@ -84,7 +84,7 @@ pub fn render_table(trace: &Trace, report: &FitReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smfl_core::{FitEvent, FitPlan, RecordingSink, SmflConfig, SolveOptions};
+    use smfl_core::{FitEvent, FitFailure, FitPlan, RecordingSink, SmflConfig, SolveOptions};
     use smfl_linalg::random::uniform_matrix;
     use smfl_linalg::Mask;
 
@@ -132,12 +132,15 @@ mod tests {
     fn render_table_mentions_all_sections() {
         let trace = traced();
         let report = FitReport {
-            events: vec![FitEvent::Sanitized { cells: 2 }],
-            ..FitReport::default()
+            events: vec![
+                FitEvent::Sanitized { cells: 2 },
+                FitEvent::Failed { iteration: 5, failure: FitFailure::Diverged },
+            ],
         };
         let table = render_table(&trace, &report);
         assert!(table.contains("update_loop"));
         assert!(table.contains("sanitized: cells=2"), "{table}");
+        assert!(table.contains("failed: iteration=5 failure=diverged"), "{table}");
         assert!(table.contains("iter wall median_s"));
         assert!(table.contains("sddmm="));
         assert!(table.lines().count() >= 5, "table too short:\n{table}");
